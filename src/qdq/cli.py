@@ -31,6 +31,7 @@ from .io_json import (
     ratfunc_to_json,
     report_to_json,
 )
+from .linalg import Matrix
 from .quasidet import all_sigmas, quasideterminant
 from .report import Report
 from .rmatrix import hecke_check, r_hat, standard_r, ybe_check
@@ -47,6 +48,17 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_SINGULAR = 3
+
+
+def _positive_int(text):
+    """argparse type of sizes, tensor powers and root orders."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_roots(text):
@@ -189,11 +201,8 @@ def cmd_quasidet(args) -> int:
     with open(args.file) as fh:
         x = ncsquare_from_json(json.load(fh))
     value = quasideterminant(x, args.i, args.j)
-    if x.kind == "operator":
-        payload = {"root_order": x.field.root_order, "value": matrix_to_json(value)}
-    else:
-        payload = {"root_order": x.field.root_order, "value": ratfunc_to_json(value)}
-    _emit(payload, args)
+    encode = matrix_to_json if isinstance(value, Matrix) else ratfunc_to_json
+    _emit({"root_order": x.field.root_order, "value": encode(value)}, args)
     return EXIT_PASS
 
 
@@ -235,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_triple_opts(p):
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_positive_int, required=True)
         p.add_argument("--g1", default="", help='first root subset, e.g. "1,2"')
         p.add_argument("--g2", default="", help='second root subset, e.g. "3,4"')
         p.add_argument("--tau", default="", help='bijection, e.g. "1>3,2>4"')
 
     p = sub.add_parser("std-r", help="print the standard R-matrix as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--root-order", type=int, default=1, dest="root_order")
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--root-order", type=_positive_int, default=1, dest="root_order")
     p.add_argument("--out")
     p.set_defaults(func=cmd_std_r)
 
@@ -261,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run an exact identity check")
     p.add_argument("kind", choices=["ybe", "hecke", "cocycle", "frt", "main"])
     add_triple_opts(p)
-    p.add_argument("--root-order", type=int, default=1, dest="root_order")
+    p.add_argument("--root-order", type=_positive_int, default=1, dest="root_order")
     p.add_argument("--theta", help="JSON file with a theta grid")
     p.add_argument("--beta", help="JSON file with a beta grid")
-    p.add_argument("--k1", type=int, default=1)
-    p.add_argument("--k2", type=int, default=1)
+    p.add_argument("--k1", type=_positive_int, default=1)
+    p.add_argument("--k2", type=_positive_int, default=1)
     p.add_argument("--sigma", default="all", help='"all" or e.g. "231,312"')
     p.add_argument("--json", help="also write the report JSON to this path")
     p.add_argument("--format", choices=["json", "text"], default="json")

@@ -65,7 +65,7 @@ def block_matrix_from_json(obj, field: ScalarField) -> BlockMatrix:
 
 def ncsquare_to_json(x: NCSquare) -> dict:
     out = {"root_order": x.field.root_order, "size": x.m}
-    if x.kind == "operator":
+    if isinstance(x.one, Matrix):
         out["inner_dim"] = x.inner
         out["entries"] = [[matrix_to_json(e) for e in row] for row in x.entries]
     else:

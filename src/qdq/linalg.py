@@ -10,9 +10,10 @@ with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
 pure index bookkeeping.
 
-Generic reduced-echelon helpers at the bottom work over any exact field
-elements supporting +,-,*,/ and truthiness; they serve both RatFunc grids
-and plain rational grids.
+One reduced-echelon kernel at the bottom, rref_rows, is the only row
+elimination: inversion, kernels and linear solves are thin wrappers over
+it.  It works over any exact field elements supporting +,-,*,/ and
+truthiness, so it serves both RatFunc grids and plain rational grids.
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ class Matrix:
     def is_zero(self):
         return all(not e for r in self.entries for e in r)
 
+    def __bool__(self):
+        """Nonzero, as for a scalar: quasideterminants test both entry rings so."""
+        return not self.is_zero()
+
     def is_identity(self):
         if self.rows != self.cols:
             return False
@@ -162,14 +167,6 @@ class Matrix:
                 elif e:
                     return False
         return True
-
-    def transpose(self):
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-        )
 
     def inv(self):
         return gauss_invert(self)
@@ -321,48 +318,12 @@ def leg_embed(op: Matrix, legs, n: int, k: int) -> Matrix:
 
 
 def gauss_invert(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination.
-
-    Pivot selection takes the first nonzero entry in the column: magnitude
-    is undefined over Q(s) and this keeps the elimination deterministic.
-    """
+    """Exact inverse: reduced echelon form of [A | I] (see rref_rows)."""
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
-    n = a.rows
-    zero, one = a.field.zero, a.field.one
-    work = [list(r) for r in a.entries]
-    right = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError(f"rank deficiency found at column {col}")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            right[col], right[piv] = right[piv], right[col]
-        p = work[col][col]
-        if not p.is_one():
-            pinv = p.inv()
-            work[col] = [x * pinv for x in work[col]]
-            right[col] = [x * pinv for x in right[col]]
-        wc, rc = work[col], right[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = work[r][col]
-            if not f:
-                continue
-            wr, rr = work[r], right[r]
-            for j in range(col, n):
-                if wc[j]:
-                    wr[j] = wr[j] - f * wc[j]
-            for j in range(n):
-                if rc[j]:
-                    rr[j] = rr[j] - f * rc[j]
-    return Matrix(n, n, right, a.field)
+    return Matrix(
+        a.rows, a.cols, _invert_rows(a.entries, a.field.zero, a.field.one), a.field
+    )
 
 
 def kernel_basis(a: Matrix):
@@ -372,10 +333,7 @@ def kernel_basis(a: Matrix):
     free column in ascending column order, each normalized so its first
     nonzero coordinate is 1.  Full rank gives the empty list.
     """
-    vecs = kernel_basis_grid(
-        [list(r) for r in a.entries], a.cols, a.field.zero, a.field.one
-    )
-    return vecs
+    return kernel_basis_grid(a.entries, a.cols, a.field.zero, a.field.one)
 
 
 class BlockMatrix:
@@ -400,17 +358,6 @@ class BlockMatrix:
         self.inner = inner
         self.blocks = blocks
         self.field = field
-
-    @classmethod
-    def identity(cls, n, inner, field):
-        blocks = [
-            [
-                Matrix.identity(inner, field) if i == j else Matrix.zeros(inner, inner, field)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return cls(blocks, field)
 
     def flatten(self) -> Matrix:
         d = self.inner
@@ -463,33 +410,11 @@ class BlockMatrix:
                 for k in range(self.block_cols):
                     a = self.blocks[i][k]
                     b = other.blocks[k][j]
-                    if not a.is_zero() and not b.is_zero():
+                    if a and b:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return BlockMatrix(out, self.field)
-
-    def __add__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return BlockMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.blocks, other.blocks)
-            ],
-            self.field,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return BlockMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.blocks, other.blocks)
-            ],
-            self.field,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, BlockMatrix):
@@ -513,46 +438,64 @@ class BlockMatrix:
         )
 
 
-block_invert = BlockMatrix.inv
-
-
 # ---------------------------------------------------------------------------
-# Generic reduced-echelon machinery (any exact field entries)
+# The reduced-echelon kernel and its wrappers (any exact field entries)
 # ---------------------------------------------------------------------------
 
 def rref_rows(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Pivots are sought in the first ncols columns only, taking the first
+    nonzero entry of the column: magnitude is undefined over Q(s) and this
+    keeps the elimination deterministic.  Row operations span the whole
+    row, so columns past ncols (a right-hand side, or the identity block
+    of [A | I]) are carried along.
+    """
     pivots = []
     r = 0
     nrows = len(rows)
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         lead = prow[col]
-        if lead != lead / lead:
-            rows[r] = prow = [x / lead for x in prow]
+        if lead != 1:
+            inv = 1 / lead
+            rows[r] = prow = [x * inv if x else x for x in prow]
+        nz = [j for j in range(col, len(prow)) if prow[j]]
         for i in range(nrows):
             if i == r:
                 continue
-            f = rows[i][col]
+            ri = rows[i]
+            f = ri[col]
             if not f:
                 continue
-            ri = rows[i]
-            for j in range(col, ncols):
-                if prow[j]:
-                    ri[j] = ri[j] - f * prow[j]
+            for j in nz:
+                ri[j] = ri[j] - f * prow[j]
         pivots.append(col)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def _invert_rows(rows, zero, one):
+    """Inverse of a square grid of field elements, as a new grid.
+
+    Raises SingularMatrixError naming the first column without a pivot.
+    """
+    n = len(rows)
+    aug = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    pivots = rref_rows(aug, n)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c >= len(pivots) or pivots[c] != c)
+        raise SingularMatrixError(f"rank deficiency found at column {col}")
+    return [row[n:] for row in aug]
 
 
 def kernel_basis_grid(rows, ncols, zero, one):
@@ -569,13 +512,10 @@ def kernel_basis_grid(rows, ncols, zero, one):
         for r, pc in enumerate(pivots):
             if work[r][f]:
                 v[pc] = -work[r][f]
-        lead = None
-        for c in v:
-            if c:
-                lead = c
-                break
+        lead = next(c for c in v if c)
         if lead != one:
-            v = [c / lead if c else c for c in v]
+            inv = one / lead
+            v = [c * inv if c else c for c in v]
         basis.append(v)
     return basis
 

@@ -25,14 +25,16 @@ from .errors import SingularMatrixError, SubmatrixSingularError
 from .linalg import BlockMatrix, Matrix, gauss_invert
 from .scalars import ScalarField
 
-SCALAR = "scalar"
-OPERATOR = "operator"
-
 
 class NCSquare:
-    """Square matrix over the scalar or operator entry ring; 1-based labels."""
+    """Square matrix over the scalar or operator entry ring; 1-based labels.
 
-    __slots__ = ("m", "entries", "kind", "field", "inner")
+    Entries of both rings support `not e` (zero test), e.inv() and *, so
+    the quasideterminant code below is written once; zero and one hold
+    the ring's neutral elements.
+    """
+
+    __slots__ = ("m", "entries", "field", "inner", "zero", "one")
 
     def __init__(self, entries, field: ScalarField):
         m = len(entries)
@@ -42,15 +44,16 @@ class NCSquare:
         self.entries = entries
         self.field = field
         if isinstance(entries[0][0], Matrix):
-            self.kind = OPERATOR
             self.inner = entries[0][0].rows
             for row in entries:
                 for e in row:
                     if e.rows != self.inner or e.cols != self.inner:
                         raise ValueError("operator entries must share one square size")
+            self.zero = Matrix.zeros(self.inner, self.inner, field)
+            self.one = Matrix.identity(self.inner, field)
         else:
-            self.kind = SCALAR
             self.inner = 1
+            self.zero, self.one = field.zero, field.one
 
     @classmethod
     def from_block_matrix(cls, bm: BlockMatrix) -> NCSquare:
@@ -84,64 +87,40 @@ class NCSquare:
         """Keep rows and columns 1..l (erase l+1..m)."""
         return NCSquare([row[:l] for row in self.entries[:l]], self.field)
 
-    # -- ring helpers ------------------------------------------------------------
-
-    def ring_one(self):
-        if self.kind == OPERATOR:
-            return Matrix.identity(self.inner, self.field)
-        return self.field.one
-
-    def entry_is_zero(self, e):
-        return e.is_zero() if self.kind == OPERATOR else not e
-
-    def invert_entry(self, e):
-        if self.kind == OPERATOR:
-            return gauss_invert(e)
-        return e.inv()
+    # -- ring operations -------------------------------------------------------
 
     def ring_inverse(self) -> NCSquare:
         """Inverse in the matrix ring over the entry ring (via flattening)."""
-        if self.kind == OPERATOR:
+        if isinstance(self.one, Matrix):
             return NCSquare.from_block_matrix(BlockMatrix(self.entries, self.field).inv())
         flat = Matrix(self.m, self.m, self.entries, self.field)
-        inv = gauss_invert(flat)
-        return NCSquare(inv.entries, self.field)
+        return NCSquare(gauss_invert(flat).entries, self.field)
 
     def matmul(self, other: NCSquare) -> NCSquare:
-        if self.m != other.m or self.kind != other.kind:
-            raise ValueError("NCSquare product shape/kind mismatch")
+        if self.m != other.m or self.one != other.one:
+            raise ValueError("NCSquare product shape/entry-ring mismatch")
         out = []
         for i in range(self.m):
             row = []
             for j in range(self.m):
-                acc = None
+                acc = self.zero
                 for k in range(self.m):
                     a, b = self.entries[i][k], other.entries[k][j]
-                    if self.entry_is_zero(a) or other.entry_is_zero(b):
-                        continue
-                    t = a * b
-                    acc = t if acc is None else acc + t
-                if acc is None:
-                    acc = (
-                        Matrix.zeros(self.inner, self.inner, self.field)
-                        if self.kind == OPERATOR
-                        else self.field.zero
-                    )
+                    if a and b:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return NCSquare(out, self.field)
 
     def is_unitriangular(self, lower: bool) -> bool:
-        one = self.ring_one()
         for i in range(self.m):
             for j in range(self.m):
                 e = self.entries[i][j]
                 if i == j:
-                    if e != one:
+                    if e != self.one:
                         return False
-                elif (j > i) if lower else (j < i):
-                    if not self.entry_is_zero(e):
-                        return False
+                elif ((j > i) if lower else (j < i)) and e:
+                    return False
         return True
 
 
@@ -168,20 +147,17 @@ def quasideterminant(x: NCSquare, i: int, j: int):
         raise SubmatrixSingularError(i, j) from exc
     row = [x.entries[i - 1][c] for c in range(x.m) if c != j - 1]
     col = [x.entries[r][j - 1] for r in range(x.m) if r != i - 1]
-    corr = None
+    # summing the correction first keeps x_ij's denominator out of every
+    # partial sum, which keeps the gcds of generic scalar entries small
+    corr = x.zero
     for a, ra in enumerate(row):
-        if x.entry_is_zero(ra):
+        if not ra:
             continue
         for b, cb in enumerate(col):
-            if x.entry_is_zero(cb):
-                continue
             mid = inv.entries[a][b]
-            if x.entry_is_zero(mid):
-                continue
-            t = ra * mid * cb
-            corr = t if corr is None else corr + t
-    entry = x[(i, j)]
-    return entry if corr is None else entry - corr
+            if cb and mid:
+                corr = corr + ra * mid * cb
+    return x[(i, j)] - corr
 
 
 def corner_factors(x: NCSquare):
@@ -212,29 +188,23 @@ def inverse_via_quasiminors(x: NCSquare) -> NCSquare:
     such entries are taken as 0 and the multiply-back identity at the end
     justifies the convention instance by instance.
     """
-    zero = (
-        Matrix.zeros(x.inner, x.inner, x.field)
-        if x.kind == OPERATOR
-        else x.field.zero
-    )
     undefined = []
     out = []
     for i in range(1, x.m + 1):
         row = []
         for j in range(1, x.m + 1):
             try:
-                row.append(x.invert_entry(quasideterminant(x, j, i)))
+                row.append(quasideterminant(x, j, i).inv())
             except SubmatrixSingularError:
-                row.append(zero)
+                row.append(x.zero)
                 undefined.append((j, i))
         out.append(row)
     inv = NCSquare(out, x.field)
-    one = x.ring_one()
     for prod in (x.matmul(inv), inv.matmul(x)):
         for r in range(x.m):
             for c in range(x.m):
                 e = prod.entries[r][c]
-                ok = e == one if r == c else x.entry_is_zero(e)
+                ok = e == x.one if r == c else not e
                 if not ok:
                     if undefined:
                         raise SubmatrixSingularError(*undefined[0])
@@ -244,21 +214,16 @@ def inverse_via_quasiminors(x: NCSquare) -> NCSquare:
     return inv
 
 
-def scalar_to_operator(x: NCSquare, inner: int) -> NCSquare:
-    """Lift scalar entries to inner x inner scalar multiples of the identity."""
-    if x.kind == OPERATOR:
-        return x
-    ident = Matrix.identity(inner, x.field)
-    return NCSquare(
-        [[ident.scale(e) for e in row] for row in x.entries], x.field
-    )
-
-
 def triangular_invariance_check(x: NCSquare, z: NCSquare, y: NCSquare, sigma) -> bool:
-    """det_sigma(Z X Y) == det_sigma(X) for unitriangular Z (lower), Y (upper)."""
-    if x.kind == OPERATOR:
-        z = scalar_to_operator(z, x.inner)
-        y = scalar_to_operator(y, x.inner)
+    """det_sigma(Z X Y) == det_sigma(X) for unitriangular Z (lower), Y (upper).
+
+    Z and Y are read in X's entry ring, so scalar entries c stand for c
+    times X's one.
+    """
+    z, y = (
+        NCSquare([[x.one * e for e in row] for row in w.entries], x.field)
+        for w in (z, y)
+    )
     if not z.is_unitriangular(lower=True):
         raise ValueError("Z must be lower triangular with ones on the diagonal")
     if not y.is_unitriangular(lower=False):

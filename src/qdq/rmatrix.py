@@ -123,28 +123,27 @@ def wedge_coefficients(w, n: int):
     return {ti.from_linear(i): c for i, c in enumerate(w) if c}
 
 
+def _matrix_leg_product(r: Matrix, n: int, k: int) -> BlockMatrix:
+    """r_{0,k} ... r_{0,1} on V (x) V^(x)k, with leg 0 the matrix leg, read
+    as an n x n block matrix over that leg."""
+    flat = None
+    for j in range(k, 0, -1):
+        factor = leg_embed(r, (1, 1 + j), n, k + 1)
+        flat = factor if flat is None else flat * factor
+    return BlockMatrix.from_flat(flat, n, n)
+
+
 def l_plus(r_j: RMatrix, k: int) -> BlockMatrix:
     """L+ acting on W = V^(x)k, read as an n x n block matrix over the
     first (matrix) leg: the flattened form is R_{0,k} ... R_{0,1} with leg 0
     the matrix leg (hexagon composition)."""
-    n = r_j.n
-    flat = None
-    for j in range(k, 0, -1):
-        factor = leg_embed(r_j.mat, (1, 1 + j), n, k + 1)
-        flat = factor if flat is None else flat * factor
-    return BlockMatrix.from_flat(flat, n, n)
+    return _matrix_leg_product(r_j.mat, r_j.n, k)
 
 
 def l_minus(r_j: RMatrix, k: int) -> BlockMatrix:
     """L- on V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
-    n = r_j.n
-    p = flip_perm(n, r_j.field)
-    rt = p * gauss_invert(r_j.mat) * p
-    flat = None
-    for j in range(k, 0, -1):
-        factor = leg_embed(rt, (1, 1 + j), n, k + 1)
-        flat = factor if flat is None else flat * factor
-    return BlockMatrix.from_flat(flat, n, n)
+    p = flip_perm(r_j.n, r_j.field)
+    return _matrix_leg_product(p * gauss_invert(r_j.mat) * p, r_j.n, k)
 
 
 def cartan_exp(a_grid, field: ScalarField) -> Matrix:

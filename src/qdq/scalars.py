@@ -482,6 +482,9 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals the rational it holds, so it must hash like it
+        if self.den == _ONE_DEN and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else _Q0)
         return hash((self.num, self.den, self.field.root_order))
 
     # -- misc ----------------------------------------------------------------

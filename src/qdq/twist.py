@@ -24,16 +24,18 @@ sides of the coproduct identity on V (x) V (x) V exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (
     BetaNotInH0Error,
     InvalidTripleError,
     NoSolutionError,
     OrderReversingError,
+    SingularMatrixError,
 )
 from .linalg import (
     Matrix,
+    _invert_rows,
     flip_perm,
     gauss_invert,
     kernel_basis_grid,
@@ -146,9 +148,7 @@ class CartanData:
     tau_mat: list  # n x n, tau as a linear map on the Cartan algebra
     z_grid: list  # coefficients of Z in the H_i (x) H_j basis
     h1_basis: list
-    h2_basis: list
     h1_perp_basis: list
-    h2_perp_basis: list
     h0_basis: list
 
 
@@ -166,12 +166,10 @@ def _echelon_rows(rows, n):
 
 
 def _rational_inverse(grid):
-    m = len(grid)
-    aug = [list(r) + [_Q1 if i == j else _Q0 for j in range(m)] for i, r in enumerate(grid)]
-    pivots = rref_rows(aug, 2 * m)
-    if pivots[:m] != list(range(m)):
-        raise NoSolutionError("Gram matrix is singular")
-    return [r[m:] for r in aug]
+    try:
+        return _invert_rows(grid, _Q0, _Q1)
+    except SingularMatrixError as exc:
+        raise NoSolutionError("Gram matrix is singular") from exc
 
 
 def cartan_data(t: BDTriple) -> CartanData:
@@ -180,7 +178,6 @@ def cartan_data(t: BDTriple) -> CartanData:
     tau = t.tau
     a1 = [_alpha(i, n) for i in t.gamma1]
     a1_tau = [_alpha(tau[i], n) for i in t.gamma1]
-    a2 = [_alpha(i, n) for i in t.gamma2]
     if a1:
         gram = [[sum(x * y for x, y in zip(u, v)) for v in a1] for u in a1]
         ginv = _rational_inverse(gram)
@@ -208,9 +205,7 @@ def cartan_data(t: BDTriple) -> CartanData:
         tau_mat=tau_mat,
         z_grid=z_grid,
         h1_basis=_echelon_rows(a1, n),
-        h2_basis=_echelon_rows(a2, n),
         h1_perp_basis=kernel_basis_grid(a1, n, _Q0, _Q1) if a1 else _std_basis(n),
-        h2_perp_basis=kernel_basis_grid(a2, n, _Q0, _Q1) if a2 else _std_basis(n),
         h0_basis=kernel_basis_grid(h0_rows, n, _Q0, _Q1) if h0_rows else _std_basis(n),
     )
 
@@ -329,7 +324,6 @@ class Twist:
     j_vv: Matrix
     rtilde_vv: Matrix  # e^{hZ} J', the mixed image of the sub-R-matrix
     r_j: RMatrix
-    extras: dict = dc_field(default_factory=dict)
 
     @property
     def n(self):

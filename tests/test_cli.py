@@ -274,3 +274,22 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["check"])  # missing positional
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "main", "--n", "0"],  # used to die in a ZeroDivisionError
+        ["check", "ybe", "--n", "-2"],  # used to report an entry-grid shape error
+        ["check", "frt", "--n", "2", "--k1", "0"],
+        ["check", "main", "--n", "2", "--k2", "-1"],
+        ["std-r", "--n", "2", "--root-order", "0"],
+        ["solve-theta", "--n", "zero"],
+    ],
+)
+def test_integer_arguments_validated_before_work(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer >= 1" in err and "Traceback" not in err

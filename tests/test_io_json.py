@@ -1,5 +1,6 @@
 """Round-trips for every JSON format."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -16,11 +17,12 @@ from qdq.io_json import (
     ratfunc_to_json,
     report_to_json,
 )
-from qdq.linalg import BlockMatrix, Matrix
+from qdq.linalg import BlockMatrix, Matrix, gauss_invert
 from qdq.quasidet import NCSquare
 from qdq.report import Report
-from qdq.rmatrix import standard_r, ybe_check
+from qdq.rmatrix import r_hat, standard_r, wedge_top, ybe_check
 from qdq.scalars import ScalarField
+from qdq.twist import BDTriple, build_twist, enumerate_triples, solve_theta
 
 F = ScalarField(2)
 
@@ -99,3 +101,24 @@ def test_report_witness_encoding():
     obj = report_to_json(rep)
     assert obj["witness"]["lhs"] == ratfunc_to_json(F.q)
     json.dumps(obj, sort_keys=True)
+
+
+def test_elimination_outputs_golden_digest():
+    # Every Theta for n = 2..5, then two twisted wedge vectors and twist
+    # inverses; the digest was recorded from the separate Gauss-Jordan
+    # inverse that rref_rows replaced, and pins its outputs byte for byte.
+    payload = [
+        grid_to_json(solve_theta(t).theta)
+        for n in range(2, 6)
+        for t in enumerate_triples(n)
+    ]
+    for t in (BDTriple.make(3, (1,), (2,), {1: 2}), BDTriple.make(4, (1,), (3,), {1: 3})):
+        tw = build_twist(t)
+        payload.append([ratfunc_to_json(c) for c in wedge_top(r_hat(tw.r_j), t.n)])
+        payload.append(matrix_to_json(gauss_invert(tw.j_vv)))
+    assert len(payload) == 34
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "603872c3f9e79262d1853487a4808509676d994f011cdb36c6dd50f6a6e22212"
+    )

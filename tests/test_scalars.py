@@ -96,6 +96,15 @@ def test_eq_against_numbers():
     assert F1.from_rational(5) == 5
 
 
+def test_constants_hash_like_the_rationals_they_equal():
+    for c in (3, Q(1, 2), 0):
+        for f in (F1, F2):
+            x = f.from_rational(c)
+            assert x == c and hash(x) == hash(c)
+            assert len({x, c}) == 1
+    assert F1.zero == 0 and len({F1.zero, 0}) == 1
+
+
 def test_evaluate():
     x = (F2.q - F2.q_inv) * F2.from_rational(Fraction(1, 3))
     assert x.evaluate(1) == 0
