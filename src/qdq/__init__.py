@@ -32,7 +32,6 @@ from .frt import (
     verify_factorization,
 )
 from .linalg import (
-    BlockMatrix,
     Matrix,
     TensorIndexing,
     flip_perm,

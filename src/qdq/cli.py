@@ -61,22 +61,27 @@ def _positive_int(text):
     return value
 
 
-def _parse_roots(text):
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _parse_roots(text, flag):
+    roots = []
+    for tok in (text or "").split(","):
+        if tok.strip():
+            try:
+                roots.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{flag}: {tok!r} is not an integer root") from None
+    return tuple(roots)
 
 
 def _parse_tau(text):
     tau = {}
-    if not text:
-        return tau
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        a, b = pair.split(">")
-        tau[int(a)] = int(b)
+    for pair in (text or "").split(","):
+        if pair.strip():
+            try:
+                a, b = (int(tok) for tok in pair.split(">"))
+            except ValueError:
+                msg = f"--tau: {pair.strip()!r} is not a pair a>b of integer roots"
+                raise ValueError(msg) from None
+            tau[a] = b
     return tau
 
 
@@ -95,8 +100,8 @@ def _parse_sigmas(text, n):
 def _triple_from_args(args) -> BDTriple:
     return BDTriple.make(
         args.n,
-        _parse_roots(getattr(args, "g1", None)),
-        _parse_roots(getattr(args, "g2", None)),
+        _parse_roots(getattr(args, "g1", None), "--g1"),
+        _parse_roots(getattr(args, "g2", None), "--g2"),
         _parse_tau(getattr(args, "tau", None)),
     )
 

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import CoactionNotProportionalError
-from .linalg import BlockMatrix, Matrix, first_mismatch, kron, leg_embed
+from .linalg import Matrix, first_mismatch, kron, leg_embed
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
 from .report import Report, aggregate_report, equality_report
 from .rmatrix import (
@@ -48,7 +48,7 @@ class FRTModel:
     twist: Twist
     k1: int
     k2: int
-    t_blocks: BlockMatrix
+    t_blocks: NCSquare
 
     @property
     def n(self):
@@ -60,7 +60,7 @@ class FRTModel:
 
     def entry(self, i: int, j: int) -> Matrix:
         """T_ij as an operator on W1 (x) W2 (1-based)."""
-        return self.t_blocks.blocks[i - 1][j - 1]
+        return self.t_blocks[(i, j)]
 
 
 def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
@@ -75,7 +75,7 @@ def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
         for j in range(n):
             acc = None
             for k in range(n):
-                a, b = lp.blocks[i][k], lm.blocks[k][j]
+                a, b = lp.entries[i][k], lm.entries[k][j]
                 if a.is_zero() or b.is_zero():
                     continue
                 term = kron(a, b)
@@ -85,7 +85,7 @@ def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
                 acc = Matrix.zeros(d, d, tw.field)
             row.append(acc)
         blocks.append(row)
-    return FRTModel(tw, k1, k2, BlockMatrix(blocks, tw.field))
+    return FRTModel(tw, k1, k2, NCSquare(blocks, tw.field))
 
 
 def flat_T_via_leg_product(tw: Twist, k1: int, k2: int) -> Matrix:
@@ -164,22 +164,17 @@ def f_of_D_image(tw: Twist, k1: int = 1, k2: int = 1) -> Matrix:
     )
 
 
-def ncsquare_of(m: FRTModel) -> NCSquare:
-    return NCSquare.from_block_matrix(m.t_blocks)
-
-
 def detsigma_factors(m: FRTModel):
     """Corner quasiminor factors of T, shared across all orderings."""
-    return corner_factors(ncsquare_of(m))
+    return corner_factors(m.t_blocks)
 
 
 def detsigma_T(m: FRTModel, sigma, factors=None):
     """det_sigma of T in the operator entry ring; returns (value, factors)."""
-    x = ncsquare_of(m)
     sigma = check_sigma(sigma, m.n)
     if factors is None:
-        factors = corner_factors(x)
-    return det_sigma(x, sigma, factors=factors), factors
+        factors = corner_factors(m.t_blocks)
+    return det_sigma(m.t_blocks, sigma, factors=factors), factors
 
 
 def factors_commute(m: FRTModel, factors=None) -> Report:
@@ -265,13 +260,13 @@ def verify_factorization(
     sigma_rep.ms = (time.perf_counter() - ts) * 1000.0
     subreports.append(sigma_rep)
 
+    tc = time.perf_counter()
     coact = qdet_coaction(model)
-    subreports.append(
-        equality_report("qdet-equals-detsigma", {}, coact, ref, time.perf_counter())
-    )
+    subreports.append(equality_report("qdet-equals-detsigma", {}, coact, ref, tc))
+    ti = time.perf_counter()
     image = f_of_D_image(tw, k1, k2)
     subreports.append(
-        equality_report("qdet-equals-grouplike-image", {}, coact, image, time.perf_counter())
+        equality_report("qdet-equals-grouplike-image", {}, coact, image, ti)
     )
     return aggregate_report("main", params, subreports, t0)
 
@@ -279,7 +274,7 @@ def verify_factorization(
 def perturbed(m: FRTModel, i: int = 1, j: int = 1, delta=None) -> FRTModel:
     """Copy of the model with one entry of one block shifted (negative control)."""
     f = m.field
-    blocks = [[b.copy() for b in row] for row in m.t_blocks.blocks]
+    blocks = [[b.copy() for b in row] for row in m.t_blocks.entries]
     d = delta if delta is not None else f.one
     blocks[i - 1][j - 1].entries[0][0] = blocks[i - 1][j - 1].entries[0][0] + d
-    return replace(m, t_blocks=BlockMatrix(blocks, f))
+    return replace(m, t_blocks=NCSquare(blocks, f))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import BlockMatrix, Matrix
+from .linalg import Matrix
 from .quasidet import NCSquare
 from .report import Report
 from .scalars import RatFunc, ScalarField
@@ -47,22 +47,6 @@ def matrix_from_json(obj, field: ScalarField) -> Matrix:
     return Matrix(obj["rows"], obj["cols"], entries, field)
 
 
-def block_matrix_to_json(bm: BlockMatrix) -> dict:
-    return {
-        "block_rows": bm.block_rows,
-        "block_cols": bm.block_cols,
-        "inner_dim": bm.inner,
-        "blocks": [[matrix_to_json(b) for b in row] for row in bm.blocks],
-    }
-
-
-def block_matrix_from_json(obj, field: ScalarField) -> BlockMatrix:
-    blocks = [
-        [matrix_from_json(b, field) for b in row] for row in obj["blocks"]
-    ]
-    return BlockMatrix(blocks, field)
-
-
 def ncsquare_to_json(x: NCSquare) -> dict:
     out = {"root_order": x.field.root_order, "size": x.m}
     if isinstance(x.one, Matrix):
@@ -74,16 +58,20 @@ def ncsquare_to_json(x: NCSquare) -> dict:
 
 
 def ncsquare_from_json(obj) -> NCSquare:
-    field = ScalarField(int(obj.get("root_order", 1)))
-    if "inner_dim" in obj:
-        entries = [
-            [matrix_from_json(e, field) for e in row] for row in obj["entries"]
-        ]
-    else:
-        entries = [
-            [ratfunc_from_json(e, field) for e in row] for row in obj["entries"]
-        ]
-    return NCSquare(entries, field)
+    """Decode ncsquare_to_json's format; size and inner_dim must match the grid."""
+    grid = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
+        raise ValueError('expected an object whose "entries" is a list of rows')
+    read = matrix_from_json if "inner_dim" in obj else ratfunc_from_json
+    try:
+        field = ScalarField(int(obj.get("root_order", 1)))
+        x = NCSquare([[read(e, field) for e in row] for row in grid], field)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed square: {exc}") from None
+    for key, have in (("size", x.m), ("inner_dim", x.inner)):
+        if obj.get(key, have) != have:
+            raise ValueError(f"declared {key} {obj[key]!r} does not match the grid's {have}")
+    return x
 
 
 def grid_to_json(grid) -> list:

@@ -336,108 +336,6 @@ def kernel_basis(a: Matrix):
     return kernel_basis_grid(a.entries, a.cols, a.field.zero, a.field.one)
 
 
-class BlockMatrix:
-    """Matrix whose entries are themselves square matrices of one size.
-
-    Flattening to a plain matrix over Q(s) is a ring isomorphism; inversion
-    goes through the flattened form.
-    """
-
-    __slots__ = ("block_rows", "block_cols", "inner", "blocks", "field")
-
-    def __init__(self, blocks, field: ScalarField):
-        self.block_rows = len(blocks)
-        self.block_cols = len(blocks[0])
-        inner = blocks[0][0].rows
-        for row in blocks:
-            if len(row) != self.block_cols:
-                raise ValueError("ragged block grid")
-            for b in row:
-                if b.rows != inner or b.cols != inner:
-                    raise ValueError("blocks must share one square inner dimension")
-        self.inner = inner
-        self.blocks = blocks
-        self.field = field
-
-    def flatten(self) -> Matrix:
-        d = self.inner
-        R, C = self.block_rows * d, self.block_cols * d
-        zero = self.field.zero
-        out = [[zero] * C for _ in range(R)]
-        for I in range(self.block_rows):
-            for J in range(self.block_cols):
-                blk = self.blocks[I][J].entries
-                for r in range(d):
-                    orow = out[I * d + r]
-                    brow = blk[r]
-                    base = J * d
-                    for c in range(d):
-                        if brow[c]:
-                            orow[base + c] = brow[c]
-        return Matrix(R, C, out, self.field)
-
-    @classmethod
-    def from_flat(cls, m: Matrix, block_rows: int, block_cols: int):
-        if m.rows % block_rows or m.cols % block_cols:
-            raise ValueError("matrix shape is not divisible into the block grid")
-        d = m.rows // block_rows
-        if m.cols // block_cols != d:
-            raise ValueError("blocks must be square")
-        blocks = [
-            [
-                Matrix(
-                    d,
-                    d,
-                    [row[J * d : (J + 1) * d] for row in m.entries[I * d : (I + 1) * d]],
-                    m.field,
-                )
-                for J in range(block_cols)
-            ]
-            for I in range(block_rows)
-        ]
-        return cls(blocks, m.field)
-
-    def __mul__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        if self.block_cols != other.block_rows or self.inner != other.inner:
-            raise ValueError("block shape mismatch")
-        out = []
-        for i in range(self.block_rows):
-            row = []
-            for j in range(other.block_cols):
-                acc = Matrix.zeros(self.inner, self.inner, self.field)
-                for k in range(self.block_cols):
-                    a = self.blocks[i][k]
-                    b = other.blocks[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return BlockMatrix(out, self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return (
-            self.block_rows == other.block_rows
-            and self.block_cols == other.block_cols
-            and self.blocks == other.blocks
-        )
-
-    def inv(self) -> BlockMatrix:
-        """Block-structured inverse through the flattening isomorphism."""
-        return BlockMatrix.from_flat(
-            gauss_invert(self.flatten()), self.block_rows, self.block_cols
-        )
-
-    def __repr__(self):
-        return (
-            f"BlockMatrix({self.block_rows}x{self.block_cols} of "
-            f"{self.inner}x{self.inner})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The reduced-echelon kernel and its wrappers (any exact field entries)
 # ---------------------------------------------------------------------------

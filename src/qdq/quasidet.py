@@ -13,8 +13,10 @@ quasiminors recovers the determinant in the commutative case:
     det_sigma(X) = a_{sigma(1)} ... a_{sigma(n)},
     a_t = |X restricted to rows/cols 1..(n-t+1)| punctured at its corner.
 
-Entries are either scalars (RatFunc) or operators (Matrix); submatrix
-inversion goes through the flattening isomorphism for operator entries.
+Entries are either scalars (RatFunc) or operators (Matrix).  A square of
+operator entries flattens to one Matrix over Q(s), a ring isomorphism:
+T, L+ and L- are such squares, and submatrix inversion goes through the
+flattening.  A square of scalar entries flattens to its own grid.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import SingularMatrixError, SubmatrixSingularError
-from .linalg import BlockMatrix, Matrix, gauss_invert
+from .linalg import Matrix, gauss_invert
 from .scalars import ScalarField
 
 
@@ -38,6 +40,8 @@ class NCSquare:
 
     def __init__(self, entries, field: ScalarField):
         m = len(entries)
+        if m == 0:
+            raise ValueError("NCSquare requires a nonempty grid")
         if any(len(r) != m for r in entries):
             raise ValueError("NCSquare requires a square grid")
         self.m = m
@@ -56,10 +60,33 @@ class NCSquare:
             self.zero, self.one = field.zero, field.one
 
     @classmethod
-    def from_block_matrix(cls, bm: BlockMatrix) -> NCSquare:
-        if bm.block_rows != bm.block_cols:
-            raise ValueError("block matrix is not square in blocks")
-        return cls([list(r) for r in bm.blocks], bm.field)
+    def from_flat(cls, flat: Matrix, m: int) -> NCSquare:
+        """Read a flat operator as an m x m grid of square blocks."""
+        d = flat.rows // m
+        if flat.rows != flat.cols or d * m != flat.rows:
+            raise ValueError(f"{flat.rows}x{flat.cols} is no {m}x{m} grid of square blocks")
+        return cls(
+            [
+                [
+                    Matrix(d, d, [row[J * d : (J + 1) * d] for row in rows], flat.field)
+                    for J in range(m)
+                ]
+                for rows in (flat.entries[I * d : (I + 1) * d] for I in range(m))
+            ],
+            flat.field,
+        )
+
+    def flatten(self) -> Matrix:
+        """One Matrix over Q(s): the block grid, or the grid itself for scalars."""
+        if not isinstance(self.one, Matrix):
+            return Matrix(self.m, self.m, self.entries, self.field)
+        dim = self.m * self.inner
+        flat = [
+            [x for e in row for x in e.entries[r]]
+            for row in self.entries
+            for r in range(self.inner)
+        ]
+        return Matrix(dim, dim, flat, self.field)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -91,10 +118,10 @@ class NCSquare:
 
     def ring_inverse(self) -> NCSquare:
         """Inverse in the matrix ring over the entry ring (via flattening)."""
+        flat = gauss_invert(self.flatten())
         if isinstance(self.one, Matrix):
-            return NCSquare.from_block_matrix(BlockMatrix(self.entries, self.field).inv())
-        flat = Matrix(self.m, self.m, self.entries, self.field)
-        return NCSquare(gauss_invert(flat).entries, self.field)
+            return NCSquare.from_flat(flat, self.m)
+        return NCSquare(flat.entries, self.field)
 
     def matmul(self, other: NCSquare) -> NCSquare:
         if self.m != other.m or self.one != other.one:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import WrongWedgeDimensionError
 from .linalg import (
-    BlockMatrix,
     Matrix,
     TensorIndexing,
     flip_perm,
@@ -29,6 +28,7 @@ from .linalg import (
     kernel_basis_grid,
     leg_embed,
 )
+from .quasidet import NCSquare
 from .report import Report, equality_report
 from .scalars import ScalarField, as_rational, q_power
 
@@ -123,24 +123,24 @@ def wedge_coefficients(w, n: int):
     return {ti.from_linear(i): c for i, c in enumerate(w) if c}
 
 
-def _matrix_leg_product(r: Matrix, n: int, k: int) -> BlockMatrix:
+def _matrix_leg_product(r: Matrix, n: int, k: int) -> NCSquare:
     """r_{0,k} ... r_{0,1} on V (x) V^(x)k, with leg 0 the matrix leg, read
-    as an n x n block matrix over that leg."""
+    as an n x n square of operators over that leg."""
     flat = None
     for j in range(k, 0, -1):
         factor = leg_embed(r, (1, 1 + j), n, k + 1)
         flat = factor if flat is None else flat * factor
-    return BlockMatrix.from_flat(flat, n, n)
+    return NCSquare.from_flat(flat, n)
 
 
-def l_plus(r_j: RMatrix, k: int) -> BlockMatrix:
-    """L+ acting on W = V^(x)k, read as an n x n block matrix over the
+def l_plus(r_j: RMatrix, k: int) -> NCSquare:
+    """L+ acting on W = V^(x)k, read as an n x n square of operators over the
     first (matrix) leg: the flattened form is R_{0,k} ... R_{0,1} with leg 0
     the matrix leg (hexagon composition)."""
     return _matrix_leg_product(r_j.mat, r_j.n, k)
 
 
-def l_minus(r_j: RMatrix, k: int) -> BlockMatrix:
+def l_minus(r_j: RMatrix, k: int) -> NCSquare:
     """L- on V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
     p = flip_perm(r_j.n, r_j.field)
     return _matrix_leg_product(p * gauss_invert(r_j.mat) * p, r_j.n, k)

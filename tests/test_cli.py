@@ -293,3 +293,40 @@ def test_integer_arguments_validated_before_work(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "expected an integer >= 1" in err and "Traceback" not in err
+
+
+_ONE = {"num": ["1"], "den": ["1"]}
+_UNIT_BLOCK = {"rows": 1, "cols": 1, "entries": [[_ONE]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"root_order": 1, "size": 0, "entries": []},  # used to die in an IndexError
+        {"root_order": 1, "size": 3, "entries": [[_ONE, _ONE], [_ONE, _ONE]]},
+        {"root_order": 1, "size": 1, "inner_dim": 3, "entries": [[_UNIT_BLOCK]]},
+        {"root_order": 1, "size": 1, "entries": [[{"num": ["1"], "den": ["0"]}]]},
+        {"root_order": 1, "size": 1, "entries": [[{"num": ["1/0"], "den": ["1"]}]]},
+        [[_ONE]],  # a top-level list used to die in an AttributeError
+    ],
+)
+def test_quasidet_file_validated_before_work(capsys, tmp_path, payload):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(
+        capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, token",
+    [("--tau", "1>2>3", "'1>2>3'"), ("--g1", "1,x", "'x'"), ("--g2", "y", "'y'")],
+)
+def test_parse_errors_name_argument_and_token(capsys, flag, value, token):
+    argv = ["check", "ybe", "--n", "3", "--g1", "1", "--g2", "2", "--tau", "1>2"]
+    argv[argv.index(flag) + 1] = value
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: {token}")

@@ -1,12 +1,13 @@
 """FRT models: exchange relations, quantum determinant, factorization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from qdq.errors import CoactionNotProportionalError
-from qdq.linalg import BlockMatrix, Matrix, kron
+from qdq.linalg import Matrix, kron
 from qdq.frt import (
     FRTModel,
     build_T,
@@ -16,12 +17,11 @@ from qdq.frt import (
     factors_commute,
     flat_T_via_leg_product,
     frt_check,
-    ncsquare_of,
     perturbed,
     qdet_coaction,
     verify_factorization,
 )
-from qdq.quasidet import all_sigmas, quasideterminant
+from qdq.quasidet import NCSquare, all_sigmas, quasideterminant
 from qdq.rmatrix import r_hat, wedge_coefficients, wedge_top
 from qdq.scalars import ScalarField
 from qdq.twist import BDTriple, build_twist, untwisted
@@ -154,8 +154,7 @@ def test_detsigma_untwisted_n2():
 
 def test_detsigma_matches_quasidet_module():
     m = build_T(untwisted(2))
-    x = ncsquare_of(m)
-    assert detsigma_factors(m)[0] == quasideterminant(x, 2, 2)
+    assert detsigma_factors(m)[0] == quasideterminant(m.t_blocks, 2, 2)
 
 
 def test_factors_commute_untwisted():
@@ -183,7 +182,7 @@ def test_factors_commute_fails_generic():
         for _ in range(2)
     ]
     tw = untwisted(2)
-    m = FRTModel(tw, 1, 1, BlockMatrix(blocks, f))
+    m = FRTModel(tw, 1, 1, NCSquare(blocks, f))
     rep = factors_commute(m)
     assert not rep.passed and rep.witness
 
@@ -210,6 +209,21 @@ def test_verify_factorization_corrupted_theta_fails():
     assert rep.witness and "failed" in rep.witness
 
 
+def test_qdet_subreports_time_their_inputs(monkeypatch):
+    # the coaction is computed inside the qdet-equals-detsigma timing
+    inner = qdet_coaction
+
+    def slow_coaction(model):
+        time.sleep(0.05)
+        return inner(model)
+
+    monkeypatch.setattr("qdq.frt.qdet_coaction", slow_coaction)
+    rep = verify_factorization(untwisted(2))
+    assert rep.passed, rep.witness
+    ms = {r.check: r.ms for r in rep.details["checks"]}
+    assert ms["qdet-equals-detsigma"] >= 50.0
+
+
 def test_verify_factorization_k_powers():
     rep = verify_factorization(untwisted(2), k1=2, k2=1)
     assert rep.passed, rep.witness
@@ -218,11 +232,11 @@ def test_verify_factorization_k_powers():
 def test_triangular_invariance_on_operator_model():
     # det_sigma of the quantum-matrix square is unchanged by scalar
     # unitriangular sandwiching
-    from qdq.quasidet import NCSquare, triangular_invariance_check
+    from qdq.quasidet import triangular_invariance_check
 
     rng = random.Random(77)
     m = build_T(untwisted(2))
-    x = ncsquare_of(m)
+    x = m.t_blocks
     f = m.field
     for sigma in all_sigmas(2):
         z = NCSquare(

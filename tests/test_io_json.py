@@ -5,8 +5,6 @@ import json
 from fractions import Fraction
 
 from qdq.io_json import (
-    block_matrix_to_json,
-    block_matrix_from_json,
     grid_from_json,
     grid_to_json,
     matrix_from_json,
@@ -17,7 +15,7 @@ from qdq.io_json import (
     ratfunc_to_json,
     report_to_json,
 )
-from qdq.linalg import BlockMatrix, Matrix, gauss_invert
+from qdq.linalg import Matrix, gauss_invert
 from qdq.quasidet import NCSquare
 from qdq.report import Report
 from qdq.rmatrix import r_hat, standard_r, wedge_top, ybe_check
@@ -51,15 +49,6 @@ def test_matrix_roundtrip():
     obj = matrix_to_json(r.mat)
     assert matrix_from_json(obj, F) == r.mat
     assert obj["rows"] == 4 and obj["cols"] == 4
-
-
-def test_block_matrix_roundtrip():
-    m = Matrix.diag([F.q, F.one], F)
-    z = Matrix.zeros(2, 2, F)
-    bm = BlockMatrix([[m, z], [z, m]], F)
-    obj = block_matrix_to_json(bm)
-    assert obj["inner_dim"] == 2
-    assert block_matrix_from_json(obj, F) == bm
 
 
 def test_ncsquare_roundtrips():

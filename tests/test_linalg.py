@@ -7,7 +7,6 @@ import pytest
 
 from qdq.errors import SingularMatrixError
 from qdq.linalg import (
-    BlockMatrix,
     Matrix,
     TensorIndexing,
     first_mismatch,
@@ -18,6 +17,7 @@ from qdq.linalg import (
     leg_embed,
     solve_particular,
 )
+from qdq.quasidet import NCSquare
 from qdq.scalars import ScalarField
 
 F = ScalarField(1)
@@ -214,12 +214,25 @@ def test_kernel_members_annihilated():
             assert all(not c for c in mat_vec(m, v))
 
 
-def test_block_matrix_flatten_roundtrip():
+def test_block_square_flatten_roundtrip():
     rng = random.Random(9)
     blocks = [[rand_matrix(rng, 2) for _ in range(3)] for _ in range(3)]
-    bm = BlockMatrix(blocks, F)
+    bm = NCSquare(blocks, F)
     flat = bm.flatten()
-    assert BlockMatrix.from_flat(flat, 3, 3) == bm
+    assert (flat.rows, flat.cols) == (6, 6)
+    assert flat.entries[3][5] == blocks[1][2].entries[1][1]
+    assert NCSquare.from_flat(flat, 3) == bm
+    with pytest.raises(ValueError):
+        NCSquare.from_flat(flat, 4)
+
+
+def test_scalar_square_flatten_roundtrip():
+    rng = random.Random(11)
+    a = rand_matrix(rng, 3)
+    x = NCSquare([list(r) for r in a.entries], F)
+    assert x.flatten() == a
+    assert NCSquare(x.flatten().entries, F) == x
+    assert x.ring_inverse().flatten() == gauss_invert(a)
 
 
 def test_block_invert_matches_flat_invert():
@@ -227,13 +240,13 @@ def test_block_invert_matches_flat_invert():
     done = 0
     while done < 6:
         blocks = [[rand_matrix(rng, 2) for _ in range(2)] for _ in range(2)]
-        bm = BlockMatrix(blocks, F)
+        bm = NCSquare(blocks, F)
         try:
-            inv = bm.inv()
+            inv = bm.ring_inverse()
         except SingularMatrixError:
             continue
         assert inv.flatten() == gauss_invert(bm.flatten())
-        prod = bm * inv
+        prod = bm.matmul(inv)
         assert prod.flatten().is_identity()
         done += 1
 
@@ -243,21 +256,21 @@ def test_block_invert_blockdiag_and_singular():
     a = rand_matrix(rng, 2)
     b = rand_matrix(rng, 2)
     z = Matrix.zeros(2, 2, F)
-    bm = BlockMatrix([[a, z], [z, b]], F)
-    inv = bm.inv()
-    assert inv.blocks[0][0] == gauss_invert(a)
-    assert inv.blocks[1][1] == gauss_invert(b)
-    assert inv.blocks[0][1].is_zero() and inv.blocks[1][0].is_zero()
-    zero = BlockMatrix([[z, z], [z, z]], F)
+    bm = NCSquare([[a, z], [z, b]], F)
+    inv = bm.ring_inverse()
+    assert inv.entries[0][0] == gauss_invert(a)
+    assert inv.entries[1][1] == gauss_invert(b)
+    assert inv.entries[0][1].is_zero() and inv.entries[1][0].is_zero()
+    zero = NCSquare([[z, z], [z, z]], F)
     with pytest.raises(SingularMatrixError):
-        zero.inv()
+        zero.ring_inverse()
 
 
 def test_block_product_matches_flat_product():
     rng = random.Random(23)
-    x = BlockMatrix([[rand_matrix(rng, 2) for _ in range(2)] for _ in range(2)], F)
-    y = BlockMatrix([[rand_matrix(rng, 2) for _ in range(2)] for _ in range(2)], F)
-    assert (x * y).flatten() == x.flatten() * y.flatten()
+    x = NCSquare([[rand_matrix(rng, 2) for _ in range(2)] for _ in range(2)], F)
+    y = NCSquare([[rand_matrix(rng, 2) for _ in range(2)] for _ in range(2)], F)
+    assert x.matmul(y).flatten() == x.flatten() * y.flatten()
 
 
 def test_first_mismatch():

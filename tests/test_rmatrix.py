@@ -178,16 +178,16 @@ def test_l_plus_minus_blocks_n2():
     r = standard_r(2, F)
     lam = F.q - F.q_inv
     lp = l_plus(r, 1)
-    assert lp.blocks[0][0] == Matrix.diag([F.q, F.one], F)
-    assert lp.blocks[1][1] == Matrix.diag([F.one, F.q], F)
-    assert lp.blocks[1][0].is_zero()
+    assert lp.entries[0][0] == Matrix.diag([F.q, F.one], F)
+    assert lp.entries[1][1] == Matrix.diag([F.one, F.q], F)
+    assert lp.entries[1][0].is_zero()
     # off-diagonal block carries the lowering matrix unit of the second leg
-    assert lp.blocks[0][1] == Matrix.unit(2, 2, 2, 1, F, lam)
+    assert lp.entries[0][1] == Matrix.unit(2, 2, 2, 1, F, lam)
     lm = l_minus(r, 1)
-    assert lm.blocks[0][0] == Matrix.diag([F.q_inv, F.one], F)
-    assert lm.blocks[1][1] == Matrix.diag([F.one, F.q_inv], F)
-    assert lm.blocks[0][1].is_zero()
-    assert lm.blocks[1][0] == Matrix.unit(2, 2, 1, 2, F, -lam)
+    assert lm.entries[0][0] == Matrix.diag([F.q_inv, F.one], F)
+    assert lm.entries[1][1] == Matrix.diag([F.one, F.q_inv], F)
+    assert lm.entries[0][1].is_zero()
+    assert lm.entries[1][0] == Matrix.unit(2, 2, 1, 2, F, -lam)
 
 
 def test_block_triangularity_untwisted():
@@ -197,9 +197,9 @@ def test_block_triangularity_untwisted():
         for i in range(n):
             for j in range(n):
                 if i > j:
-                    assert lp.blocks[i][j].is_zero()
+                    assert lp.entries[i][j].is_zero()
                 if i < j:
-                    assert lm.blocks[i][j].is_zero()
+                    assert lm.entries[i][j].is_zero()
 
 
 def test_l_plus_hexagon_k2():
