@@ -93,7 +93,12 @@ def _parse_sigmas(text, n):
         tok = tok.strip()
         if not tok:
             continue
-        out.append(tuple(int(ch) for ch in tok))
+        sigma = tuple(int(ch) for ch in tok if "1" <= ch <= "9")
+        if len(sigma) != len(tok) or sorted(sigma) != list(range(1, n + 1)):
+            raise ValueError(f"--sigma: {tok!r} is not an ordering of 1..{n}")
+        out.append(sigma)
+    if not out:
+        raise ValueError(f"--sigma: {text!r} names no ordering")
     return out
 
 
@@ -113,7 +118,10 @@ def _load_grid(path, n):
         data = data.get("theta", data.get("beta", data.get("grid")))
     if not isinstance(data, list):
         raise ValueError(f"{path} holds no grid (expected a list or a theta/beta/grid key)")
-    grid = grid_from_json(data)
+    try:
+        grid = grid_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(grid) != n or any(len(r) != n for r in grid):
         raise ValueError(f"grid in {path} is not {n}x{n}")
     return grid
@@ -136,6 +144,8 @@ def _report_lines(rep: Report, depth=0):
         wit = rep.witness
         if "failed" in wit:
             line += f"  (first failure: {wit['failed']})"
+        elif "shape" in wit:
+            line += f"  shape {wit['shape']['lhs']} != {wit['shape']['rhs']}"
         elif "coords" in wit:
             line += f"  at {wit['coords']}: {wit.get('lhs')} != {wit.get('rhs')}"
         elif "clauses" in wit:
@@ -231,8 +241,8 @@ def cmd_check(args) -> int:
         rep = frt_check(build_T(tw, args.k1, args.k2))
         return _finish_report(rep, args)
     if kind == "main":
-        tw = _twist_from_args(args)
         sigmas = _parse_sigmas(args.sigma, args.n)
+        tw = _twist_from_args(args)
         rep = verify_factorization(tw, args.k1, args.k2, sigmas)
         return _finish_report(rep, args)
     raise ValueError(f"unknown check {kind!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from .errors import CoactionNotProportionalError
 from .linalg import Matrix, first_mismatch, kron, leg_embed
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
-from .report import Report, aggregate_report, equality_report
+from .report import Report, aggregate_report, equality_report, mismatch_witness
 from .rmatrix import (
     hecke_check,
     l_minus,
@@ -125,26 +125,59 @@ def qdet_coaction(m: FRTModel) -> Matrix:
         D_I = c_I^{-1} sum_K c_K T_{i1 k1} T_{i2 k2} ... T_{in kn}
 
     (products left to right in tensor-position order).  All D_I must
-    coincide; the common value is returned.
+    coincide; the common value is returned, and the first D_I in
+    lexicographic order that differs from the first one is reported.
+
+    The sum is evaluated right to left over the trie of support prefixes:
+    the partial sum over the K that extend a prefix P at position p,
+
+        S_p(I, P) = sum_{K > P} c_K T_{ip kp} ... T_{in kn},
+
+    depends on I only through its suffix from p on.  The I are visited
+    grouped by suffix, and each position's partial sums are kept only
+    while its suffix stays the same, so the cache stays small.
     """
     n = m.n
     w = wedge_top(r_hat(m.twist.r_j), n)
     coeffs = wedge_coefficients(w, n)
-    terms = sorted(coeffs.items())
-    common = None
-    for I, cI in terms:
+    nexts = {}  # support prefix -> the next indices that extend it
+    for K in sorted(coeffs):
+        for p in range(n):
+            step = nexts.setdefault(K[:p], [])
+            if not step or step[-1] != K[p]:
+                step.append(K[p])
+    caches = [{} for _ in range(n)]
+
+    def partial(I, p, prefix):
+        hit = caches[p].get(prefix)
+        if hit is not None:
+            return hit
         acc = None
-        for K, cK in terms:
-            prod = m.entry(I[0], K[0])
-            for pos in range(1, n):
-                prod = prod * m.entry(I[pos], K[pos])
-            prod = prod.scale(cK)
-            acc = prod if acc is None else acc + prod
-        dI = acc.scale(cI.inv())
-        if common is None:
-            common = dI
-        elif common != dI:
-            loc = first_mismatch(common, dI)
+        for k in nexts[prefix]:
+            ext = prefix + (k,)
+            if p == n - 1:
+                term = m.entry(I[p], k).scale(coeffs[ext])
+            else:
+                term = m.entry(I[p], k) * partial(I, p + 1, ext)
+            acc = term if acc is None else acc + term
+        caches[p][prefix] = acc
+        return acc
+
+    images = {}
+    prev = None
+    for I in sorted(coeffs, key=lambda I: I[::-1]):
+        if prev is not None:
+            # positions up to the last differing one see a new suffix
+            last = max(p for p in range(n) if I[p] != prev[p])
+            for cache in caches[: last + 1]:
+                cache.clear()
+        prev = I
+        images[I] = partial(I, 0, ()).scale(coeffs[I].inv())
+    first, *rest = sorted(images)
+    common = images[first]
+    for I in rest:
+        loc = first_mismatch(common, images[I])
+        if loc is not None:
             raise CoactionNotProportionalError(
                 f"coaction rows disagree at multi-index {I}, entry {loc[:2]}"
             )
@@ -177,9 +210,13 @@ def detsigma_T(m: FRTModel, sigma, factors=None):
     return det_sigma(m.t_blocks, sigma, factors=factors), factors
 
 
-def factors_commute(m: FRTModel, factors=None) -> Report:
-    """Pairwise commutators of the quasiminor factors vanish exactly."""
-    t0 = time.perf_counter()
+def factors_commute(m: FRTModel, factors=None, t0=None) -> Report:
+    """Pairwise commutators of the quasiminor factors vanish exactly.
+
+    t0, when given, is the clock reading at which the caller started
+    computing the factors, so the report's time includes them."""
+    if t0 is None:
+        t0 = time.perf_counter()
     if factors is None:
         factors = detsigma_factors(m)
     for a in range(len(factors)):
@@ -192,11 +229,7 @@ def factors_commute(m: FRTModel, factors=None) -> Report:
                     "factors-commute",
                     {"n": m.n, "k1": m.k1, "k2": m.k2},
                     False,
-                    witness={
-                        "coords": [a + 1, b + 1, loc[0], loc[1]],
-                        "lhs": loc[2],
-                        "rhs": loc[3],
-                    },
+                    witness=mismatch_witness(loc, a + 1, b + 1),
                 )
                 rep.ms = (time.perf_counter() - t0) * 1000.0
                 return rep
@@ -239,23 +272,19 @@ def verify_factorization(
     ]
     model = build_T(tw, k1, k2)
     subreports.append(frt_check(model))
+    tf = time.perf_counter()
     factors = detsigma_factors(model)
-    subreports.append(factors_commute(model, factors))
+    subreports.append(factors_commute(model, factors, tf))
 
+    ts = time.perf_counter()
     ref, _ = detsigma_T(model, sigmas[0], factors)
     sigma_rep = Report("det-sigma-consistency", {"sigmas": len(sigmas)}, True)
-    ts = time.perf_counter()
     for sigma in sigmas[1:]:
         val, _ = detsigma_T(model, sigma, factors)
         loc = first_mismatch(ref, val)
         if loc is not None:
             sigma_rep.passed = False
-            sigma_rep.witness = {
-                "sigma": list(sigma),
-                "coords": [loc[0], loc[1]],
-                "lhs": loc[2],
-                "rhs": loc[3],
-            }
+            sigma_rep.witness = mismatch_witness(loc, sigma=list(sigma))
             break
     sigma_rep.ms = (time.perf_counter() - ts) * 1000.0
     subreports.append(sigma_rep)

@@ -79,7 +79,24 @@ def grid_to_json(grid) -> list:
 
 
 def grid_from_json(rows) -> list:
-    return [[Fraction(v) for v in row] for row in rows]
+    """Decode a grid of "p/q" strings or numbers; an entry that is not a
+    rational raises a ValueError naming its 1-based row and column."""
+    grid = []
+    for i, row in enumerate(rows, 1):
+        if not isinstance(row, list):
+            raise ValueError(f"row {i} of the grid is not a list")
+        out = []
+        for j, v in enumerate(row, 1):
+            try:
+                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                    raise TypeError
+                out.append(Fraction(v))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(
+                    f"entry ({i}, {j}) of the grid is not a rational: {v!r}"
+                ) from None
+        grid.append(out)
+    return grid
 
 
 def _plain(value):

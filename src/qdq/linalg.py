@@ -77,7 +77,7 @@ class Matrix:
             self.rows,
             self.cols,
             [
-                [a + b for a, b in zip(ra, rb)]
+                [a + b if a and b else a or b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
             self.field,
@@ -105,7 +105,10 @@ class Matrix:
 
     def scale(self, c: RatFunc):
         return Matrix(
-            self.rows, self.cols, [[c * a for a in r] for r in self.entries], self.field
+            self.rows,
+            self.cols,
+            [[c * a if a else a for a in r] for r in self.entries],
+            self.field,
         )
 
     def __mul__(self, other):
@@ -116,20 +119,18 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         zero = self.field.zero
-        a, b = self.entries, other.entries
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ai = a[i]
-            oi = out[i]
-            for k in range(self.cols):
-                aik = ai[k]
-                if not aik:
-                    continue
-                bk = b[k]
-                for j in range(other.cols):
-                    bkj = bk[j]
-                    if bkj:
-                        oi[j] = oi[j] + aik * bkj
+        # the nonzero (j, b_kj) of each row of B, so no loop visits a zero
+        b_nz = [[(j, x) for j, x in enumerate(bk) if x] for bk in other.entries]
+        out = []
+        for ai in self.entries:
+            oi = [zero] * other.cols
+            for aik, bk in zip(ai, b_nz):
+                if aik:
+                    for j, bkj in bk:
+                        t = aik * bkj
+                        oij = oi[j]
+                        oi[j] = oij + t if oij else t
+            out.append(oi)
         return Matrix(self.rows, other.cols, out, self.field)
 
     def __rmul__(self, other):
@@ -183,11 +184,17 @@ class Matrix:
 
 
 def first_mismatch(a: Matrix, b: Matrix):
-    """Row-major scan; returns (i, j, a_ij, b_ij) or None when equal."""
+    """Row-major scan; returns (i, j, a_ij, b_ij) or None when equal.
+
+    Matrices of different shapes have no entry to compare: the result is
+    then (None, None, (a.rows, a.cols), (b.rows, b.cols)).
+    """
     if (a.rows, a.cols) != (b.rows, b.cols):
-        return (0, 0, None, None)
-    for i in range(a.rows):
-        ra, rb = a.entries[i], b.entries[i]
+        return (None, None, (a.rows, a.cols), (b.rows, b.cols))
+    for i, (ra, rb) in enumerate(zip(a.entries, b.entries)):
+        if ra == rb:
+            # list equality skips identical entries, such as shared zeros
+            continue
         for j in range(a.cols):
             if ra[j] != rb[j]:
                 return (i, j, ra[j], rb[j])

@@ -25,6 +25,19 @@ class Report:
         return self.passed
 
 
+def mismatch_witness(loc, *prefix, **extra) -> dict:
+    """Witness of a first_mismatch result.
+
+    An entry mismatch gives its coordinates (after the caller's prefix)
+    and both exact values; a shape mismatch gives only the prefix and
+    both shapes, so it cannot be read as an entry.
+    """
+    i, j, a, b = loc
+    if i is None:
+        return {**extra, "coords": list(prefix), "shape": {"lhs": a, "rhs": b}}
+    return {**extra, "coords": [*prefix, i, j], "lhs": a, "rhs": b}
+
+
 def equality_report(check: str, params: dict, lhs, rhs, t0=None) -> Report:
     """Compare two matrices entry by entry and package the outcome."""
     from .linalg import first_mismatch
@@ -33,13 +46,7 @@ def equality_report(check: str, params: dict, lhs, rhs, t0=None) -> Report:
     if loc is None:
         rep = Report(check, params, True)
     else:
-        i, j, a, b = loc
-        rep = Report(
-            check,
-            params,
-            False,
-            witness={"coords": [i, j], "lhs": a, "rhs": b},
-        )
+        rep = Report(check, params, False, witness=mismatch_witness(loc))
     if t0 is not None:
         rep.ms = (time.perf_counter() - t0) * 1000.0
     return rep

@@ -88,10 +88,10 @@ def _pmul(a, b):
         return ()
     if len(a) == 1:
         c = a[0]
-        return tuple(c * x for x in b)
+        return tuple(c * x if x else x for x in b)
     if len(b) == 1:
         c = b[0]
-        return tuple(c * x for x in a)
+        return tuple(c * x if x else x for x in a)
     out = [_Q0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -121,6 +121,12 @@ def _pdivmod(a, b):
 
 
 def _pdiv_exact(a, b):
+    v = len(b) - 1
+    if b and b[v] == 1 and not any(b[:v]):
+        # b = s^v, the usual gcd of Laurent values: a shift, no division
+        if any(a[:v]):
+            raise ArithmeticError("inexact polynomial division")
+        return a[v:]
     q, r = _pdivmod(a, b)
     if r:
         raise ArithmeticError("inexact polynomial division")

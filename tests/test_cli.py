@@ -330,3 +330,31 @@ def test_parse_errors_name_argument_and_token(capsys, flag, value, token):
     code, _, err = invoke(capsys, *argv)
     assert code == 2
     assert err.startswith(f"error: {flag}: {token}")
+
+
+@pytest.mark.parametrize("entry", ["1/0", None, ["1"], "x", True])
+@pytest.mark.parametrize("flag", ["--theta", "--beta"])
+def test_bad_grid_entry_names_file_and_position(capsys, tmp_path, flag, entry):
+    # "1/0" used to die in a ZeroDivisionError, null and lists in a TypeError
+    grid = [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["0", "1/2", "0"]]
+    grid[0][1] = entry
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({flag[2:]: grid}))
+    argv = ["check", "main", "--n", "3", "--g1", "1", "--g2", "2", "--tau", "1>2"]
+    code, out, err = invoke(capsys, *argv, flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: entry (1, 2) ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, token", [("1x", "'1x'"), ("12,2", "'2'"), ("123", "'123'"), (",", "','")]
+)
+def test_bad_sigma_named_before_any_work(capsys, monkeypatch, value, token):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the twist was built before --sigma was checked")
+
+    monkeypatch.setattr("qdq.cli.build_twist", no_work)
+    code, out, err = invoke(capsys, "check", "main", "--n", "2", "--sigma", value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --sigma: {token}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qdq.errors import CoactionNotProportionalError
-from qdq.linalg import Matrix, kron
+from qdq.linalg import Matrix, first_mismatch, kron
 from qdq.frt import (
     FRTModel,
     build_T,
@@ -24,7 +24,7 @@ from qdq.frt import (
 from qdq.quasidet import NCSquare, all_sigmas, quasideterminant
 from qdq.rmatrix import r_hat, wedge_coefficients, wedge_top
 from qdq.scalars import ScalarField
-from qdq.twist import BDTriple, build_twist, untwisted
+from qdq.twist import BDTriple, build_twist, cartan_data, untwisted
 
 H = Fraction(1, 2)
 CG = BDTriple.make(3, [1], [2], {1: 2})
@@ -92,16 +92,12 @@ def test_qdet_untwisted_identity():
     assert qdet_coaction(m3) == Matrix.identity(9, m3.field)
 
 
-def test_qdet_rescaling_invariance():
-    # scaling the wedge vector cancels in each coaction row
-    m = build_T(untwisted(2))
+def direct_coaction(m, coeffs):
+    """Oracle: every D_I by the plain double sum over the wedge support,
+    as (I, D_I) pairs in lexicographic order of I."""
     n = m.n
-    w = wedge_top(r_hat(m.twist.r_j), n)
-    scale = m.field.from_coeffs([2, 0, 3])  # arbitrary nonzero
-    scaled = [scale * c for c in w]
-    coeffs = wedge_coefficients(scaled, n)
     terms = sorted(coeffs.items())
-    ref = qdet_coaction(m)
+    rows = []
     for I, cI in terms:
         acc = None
         for K, cK in terms:
@@ -110,13 +106,66 @@ def test_qdet_rescaling_invariance():
                 prod = prod * m.entry(I[pos], K[pos])
             prod = prod.scale(cK)
             acc = prod if acc is None else acc + prod
-        assert acc.scale(cI.inv()) == ref
+        rows.append((I, acc.scale(cI.inv())))
+    return rows
+
+
+def wedge_of(m):
+    return wedge_coefficients(wedge_top(r_hat(m.twist.r_j), m.n), m.n)
+
+
+def test_qdet_rescaling_invariance():
+    # scaling the wedge vector cancels in each coaction row
+    m = build_T(untwisted(2))
+    scale = m.field.from_coeffs([2, 0, 3])  # arbitrary nonzero
+    scaled = {I: scale * c for I, c in wedge_of(m).items()}
+    ref = qdet_coaction(m)
+    for _, dI in direct_coaction(m, scaled):
+        assert dI == ref
+
+
+def gl4_with_beta():
+    triple = BDTriple.make(4, [1], [3], {1: 3})
+    u, v = cartan_data(triple).h0_basis[:2]
+    beta = [[H * (u[i] * v[j] - v[i] * u[j]) for j in range(4)] for i in range(4)]
+    assert any(any(row) for row in beta)
+    return build_twist(triple, beta=beta)
+
+
+def cg_twist():
+    return build_twist(CG, CG_THETA)
+
+
+@pytest.mark.parametrize(
+    "make, k1, k2",
+    [(cg_twist, 1, 1), (cg_twist, 2, 1), (gl4_with_beta, 1, 1)],
+    ids=["gl3-cg-k11", "gl3-cg-k21", "gl4-beta-k11"],
+)
+def test_qdet_coaction_matches_direct_sum(make, k1, k2):
+    m = build_T(make(), k1, k2)
+    rows = direct_coaction(m, wedge_of(m))
+    assert all(dI == rows[0][1] for _, dI in rows)
+    assert qdet_coaction(m) == rows[0][1]
 
 
 def test_qdet_perturbed_not_proportional():
     m = perturbed(build_T(untwisted(2)), 1, 2)
     with pytest.raises(CoactionNotProportionalError):
         qdet_coaction(m)
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (3, 2)])
+def test_qdet_perturbed_message_follows_oracle_order(i, j):
+    # the suffix-grouped evaluation must still name the lexicographically
+    # first row that disagrees with the first one, as the double sum does
+    m = perturbed(build_T(cg_twist()), i, j)
+    rows = direct_coaction(m, wedge_of(m))
+    I, dI = next((I, dI) for I, dI in rows if dI != rows[0][1])
+    loc = first_mismatch(rows[0][1], dI)
+    want = f"coaction rows disagree at multi-index {I}, entry {loc[:2]}"
+    with pytest.raises(CoactionNotProportionalError) as exc:
+        qdet_coaction(m)
+    assert str(exc.value) == want
 
 
 def test_f_of_D_image_untwisted():
@@ -222,6 +271,28 @@ def test_qdet_subreports_time_their_inputs(monkeypatch):
     assert rep.passed, rep.witness
     ms = {r.check: r.ms for r in rep.details["checks"]}
     assert ms["qdet-equals-detsigma"] >= 50.0
+
+
+def test_factor_and_reference_timers_cover_their_inputs(monkeypatch):
+    # the corner factors are timed by factors-commute, and the reference
+    # ordering by det-sigma-consistency, even with a single ordering
+    factors_of, det_of = detsigma_factors, detsigma_T
+
+    def slow_factors(model):
+        time.sleep(0.05)
+        return factors_of(model)
+
+    def slow_det(model, sigma, factors=None):
+        time.sleep(0.05)
+        return det_of(model, sigma, factors)
+
+    monkeypatch.setattr("qdq.frt.detsigma_factors", slow_factors)
+    monkeypatch.setattr("qdq.frt.detsigma_T", slow_det)
+    rep = verify_factorization(untwisted(2), sigmas=[(1, 2)])
+    assert rep.passed, rep.witness
+    ms = {r.check: r.ms for r in rep.details["checks"]}
+    assert ms["factors-commute"] >= 50.0
+    assert ms["det-sigma-consistency"] >= 50.0
 
 
 def test_verify_factorization_k_powers():

@@ -18,6 +18,7 @@ from qdq.linalg import (
     solve_particular,
 )
 from qdq.quasidet import NCSquare
+from qdq.report import equality_report
 from qdq.scalars import ScalarField
 
 F = ScalarField(1)
@@ -273,6 +274,47 @@ def test_block_product_matches_flat_product():
     assert x.matmul(y).flatten() == x.flatten() * y.flatten()
 
 
+def rand_sparse(rng, rows, cols, field=F):
+    """Random grid, mostly zeros, with whole zero rows and columns."""
+    dead_r = set(rng.sample(range(rows), rows // 3))
+    dead_c = set(rng.sample(range(cols), cols // 3))
+    return Matrix(
+        rows,
+        cols,
+        [
+            [
+                rand_ratfunc(rng, field)
+                if i not in dead_r and j not in dead_c and rng.random() < 0.3
+                else field.zero
+                for j in range(cols)
+            ]
+            for i in range(rows)
+        ],
+        field,
+    )
+
+
+def test_sparse_products_match_naive_loops():
+    # oracle: the plain triple loop and entrywise sum and scale, zeros included
+    rng = random.Random(31)
+    for rows, inner, cols in ((5, 7, 3), (6, 6, 6), (1, 4, 8), (7, 2, 5)):
+        a = rand_sparse(rng, rows, inner)
+        b = rand_sparse(rng, inner, cols)
+        want = [
+            [sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), F.zero)
+             for j in range(cols)]
+            for i in range(rows)
+        ]
+        assert (a * b).entries == want
+        c = rand_sparse(rng, rows, inner)
+        assert (a + c).entries == [
+            [x + y for x, y in zip(ra, rc)] for ra, rc in zip(a.entries, c.entries)
+        ]
+        k = rand_ratfunc(rng, F) or F.s
+        for factor in (k, F.zero):
+            assert a.scale(factor).entries == [[factor * x for x in r] for r in a.entries]
+
+
 def test_first_mismatch():
     a = Matrix.identity(2, F)
     b = a.copy()
@@ -280,6 +322,17 @@ def test_first_mismatch():
     b.entries[1][0] = F.one
     loc = first_mismatch(a, b)
     assert loc[:2] == (1, 0)
+
+
+def test_shape_mismatch_has_its_own_witness():
+    a, b = Matrix.identity(2, F), Matrix.zeros(2, 3, F)
+    assert first_mismatch(a, b) == (None, None, (2, 2), (2, 3))
+    rep = equality_report("probe", {}, a, b)
+    assert not rep.passed
+    assert rep.witness == {"coords": [], "shape": {"lhs": (2, 2), "rhs": (2, 3)}}
+    # an entry mismatch at (0, 0) still reads as one
+    rep = equality_report("probe", {}, a, Matrix.zeros(2, 2, F))
+    assert rep.witness == {"coords": [0, 0], "lhs": F.one, "rhs": F.zero}
 
 
 def test_solve_particular():

@@ -11,7 +11,15 @@ from qdq.errors import (
     NonRepresentableExponentError,
     ZeroInverseError,
 )
-from qdq.scalars import Q, ScalarField, lcm_denominators, q_power
+from qdq.scalars import (
+    Q,
+    ScalarField,
+    _pdiv_exact,
+    _pdivmod,
+    _ptrim,
+    lcm_denominators,
+    q_power,
+)
 
 F1 = ScalarField(1)
 F2 = ScalarField(2)
@@ -172,6 +180,27 @@ def test_sub_and_div_consistent(x, y):
     assert (x - y) + y == x
     if y:
         assert (x / y) * y == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_rationals, max_size=6),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+def test_monomial_shift_matches_long_division(cs, v, exact):
+    # dividing by s^v is a shift; Euclidean division is the oracle,
+    # and an inexact division must still be refused
+    a = _ptrim(Q(c) for c in cs)
+    if exact:
+        a = _ptrim((Q(0),) * v + a)
+    b = (Q(0),) * v + (Q(1),)
+    q, r = _pdivmod(a, b)
+    if r:
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(a, b)
+    else:
+        assert _pdiv_exact(a, b) == q
 
 
 def test_pow():
