@@ -8,7 +8,6 @@ product of commuting corner quasiminors.
 
 from .errors import (
     BetaNotInH0Error,
-    CoactionNotProportionalError,
     FieldMismatchError,
     InvalidTripleError,
     NonRepresentableExponentError,

@@ -2,19 +2,21 @@
 
 Subcommands: std-r, solve-theta, quasidet, and check {ybe, hecke,
 cocycle, frt, main}.  Exit codes: 0 every requested check passed, 1 a
-check failed, 2 invalid input, 3 a singularity was hit.  All file I/O is
-through explicit paths; identical inputs produce identical output.
+check failed, 2 invalid input, 3 a singularity was hit, 4 an internal
+error (an exception no other code covers, reported on one line).  All
+file I/O is through explicit paths; identical inputs produce identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
     BetaNotInH0Error,
-    CoactionNotProportionalError,
     InvalidTripleError,
     NonRepresentableExponentError,
     OrderReversingError,
@@ -48,6 +50,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text):
@@ -139,11 +142,15 @@ def _emit(payload, args) -> None:
 def _report_lines(rep: Report, depth=0):
     pad = "  " * depth
     status = "pass" if rep.passed else "FAIL"
-    line = f"{pad}{rep.check:<28} {status}"
+    line = f"{pad}{rep.check:<{30 - len(pad)}} {status} {rep.ms:>10.1f} ms"
+    if "route" in rep.details:
+        line += f"  [{rep.details['route']}]"
     if not rep.passed and rep.witness:
         wit = rep.witness
         if "failed" in wit:
             line += f"  (first failure: {wit['failed']})"
+        elif "premise" in wit:
+            line += f"  (premise failed: {wit['premise']})"
         elif "shape" in wit:
             line += f"  shape {wit['shape']['lhs']} != {wit['shape']['rhs']}"
         elif "coords" in wit:
@@ -322,9 +329,13 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except CoactionNotProportionalError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except Exception as exc:  # the CLI boundary: any other fault is internal
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"internal error: {type(exc).__name__}: {exc} ({where})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

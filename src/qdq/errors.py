@@ -42,10 +42,6 @@ class WrongWedgeDimensionError(QdqError):
         super().__init__(message or f"top wedge space has dimension {dim}, expected 1")
 
 
-class CoactionNotProportionalError(QdqError):
-    """Coaction coefficients of the wedge vector disagree across multi-indices."""
-
-
 class BetaNotInH0Error(QdqError):
     """The antisymmetric Cartan extension is not supported on h0 x h0."""
 

@@ -11,8 +11,9 @@ matrix leg; both routes are computed and compared in the tests.
 The verifier checks, all by exact matrix identities:
 
   * the defining exchange relation R12 T13 T23 = T23 T13 R12,
-  * the quantum determinant extracted through the coaction on the top
-    wedge vector is one single operator D (proportionality across rows),
+  * the quantum determinant D extracted through the coaction on the top
+    wedge vector, read from one row and certified by the exchange
+    relation and the one-dimensional wedge,
   * D equals the closed-form grouplike image built from the twist's
     Cartan exponents,
   * D equals every sigma-ordered product of corner quasiminors of T,
@@ -24,7 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .errors import CoactionNotProportionalError
 from .linalg import Matrix, first_mismatch, kron, leg_embed
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
 from .report import Report, aggregate_report, equality_report, mismatch_witness
@@ -116,26 +116,27 @@ def frt_check(m: FRTModel) -> Report:
     )
 
 
-def qdet_coaction(m: FRTModel) -> Matrix:
-    """The quantum determinant image through the wedge coaction.
+def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
+    """The quantum determinant image D through the wedge coaction.
 
     With w = sum_K c_K v_K the top wedge vector of the twisted braiding,
-    every multi-index I with c_I != 0 yields
+    the coaction is delta(w) = w (x) D, whose I-component reads
 
-        D_I = c_I^{-1} sum_K c_K T_{i1 k1} T_{i2 k2} ... T_{in kn}
+        sum_K c_K T_{i1 k1} T_{i2 k2} ... T_{in kn} = c_I D
 
-    (products left to right in tensor-position order).  All D_I must
-    coincide; the common value is returned, and the first D_I in
-    lexicographic order that differs from the first one is reported.
+    (products left to right in tensor-position order).  D is computed from
+    the lexicographically first support index I0 alone, summing over the
+    trie of support prefixes.  That one row proves the identity for every
+    I, including those off the support, provided two premises hold:
 
-    The sum is evaluated right to left over the trie of support prefixes:
-    the partial sum over the K that extend a prefix P at position p,
+      * R12 T13 T23 = T23 T13 R12 (frt_check), so each C_{i,i+1} (x) 1,
+        with C = Rhat + 1/q, commutes with T1 ... Tn;
+      * ker C on V^(x)n is span(w), which wedge_top proves exactly.
 
-        S_p(I, P) = sum_{K > P} c_K T_{ip kp} ... T_{in kn},
-
-    depends on I only through its suffix from p on.  The I are visited
-    grouped by suffix, and each position's partial sums are kept only
-    while its suffix stays the same, so the cache stays small.
+    Then (T1 ... Tn)(w (x) x) lies in span(w) (x) W for every x.  The
+    caller checks the first premise; wedge_top raises unless the second
+    holds.  certificate, when given, is a dict that receives the row I0
+    and the support size.
     """
     n = m.n
     w = wedge_top(r_hat(m.twist.r_j), n)
@@ -146,42 +147,23 @@ def qdet_coaction(m: FRTModel) -> Matrix:
             step = nexts.setdefault(K[:p], [])
             if not step or step[-1] != K[p]:
                 step.append(K[p])
-    caches = [{} for _ in range(n)]
+    row = min(coeffs)
 
-    def partial(I, p, prefix):
-        hit = caches[p].get(prefix)
-        if hit is not None:
-            return hit
+    def partial(p, prefix):
+        # sum over the K extending prefix of c_K T_{I0[p] k_p} ... T_{I0[n-1] k_n}
         acc = None
         for k in nexts[prefix]:
             ext = prefix + (k,)
             if p == n - 1:
-                term = m.entry(I[p], k).scale(coeffs[ext])
+                term = m.entry(row[p], k).scale(coeffs[ext])
             else:
-                term = m.entry(I[p], k) * partial(I, p + 1, ext)
+                term = m.entry(row[p], k) * partial(p + 1, ext)
             acc = term if acc is None else acc + term
-        caches[p][prefix] = acc
         return acc
 
-    images = {}
-    prev = None
-    for I in sorted(coeffs, key=lambda I: I[::-1]):
-        if prev is not None:
-            # positions up to the last differing one see a new suffix
-            last = max(p for p in range(n) if I[p] != prev[p])
-            for cache in caches[: last + 1]:
-                cache.clear()
-        prev = I
-        images[I] = partial(I, 0, ()).scale(coeffs[I].inv())
-    first, *rest = sorted(images)
-    common = images[first]
-    for I in rest:
-        loc = first_mismatch(common, images[I])
-        if loc is not None:
-            raise CoactionNotProportionalError(
-                f"coaction rows disagree at multi-index {I}, entry {loc[:2]}"
-            )
-    return common
+    if certificate is not None:
+        certificate.update(row=list(row), support=len(coeffs))
+    return partial(0, ()).scale(coeffs[row].inv())
 
 
 def f_of_D_image(tw: Twist, k1: int = 1, k2: int = 1) -> Matrix:
@@ -246,8 +228,9 @@ def verify_factorization(
     Aggregates: Yang-Baxter and Hecke checks for the twisted braiding, the
     twist cocycle, the exchange relations for T, commutativity of the
     quasiminor factors, agreement of det_sigma across the requested
-    orderings, and equality of the common value with both determinant
-    images.
+    orderings, the coaction certificate for the determinant image D
+    (which fails, naming the premise, when the exchange relations fail),
+    and equality of D with det_sigma and with the grouplike image.
     """
     t0 = time.perf_counter()
     n = tw.n
@@ -271,7 +254,8 @@ def verify_factorization(
         cocycle_check(tw),
     ]
     model = build_T(tw, k1, k2)
-    subreports.append(frt_check(model))
+    frt_rep = frt_check(model)
+    subreports.append(frt_rep)
     tf = time.perf_counter()
     factors = detsigma_factors(model)
     subreports.append(factors_commute(model, factors, tf))
@@ -290,8 +274,24 @@ def verify_factorization(
     subreports.append(sigma_rep)
 
     tc = time.perf_counter()
-    coact = qdet_coaction(model)
-    subreports.append(equality_report("qdet-equals-detsigma", {}, coact, ref, tc))
+    frt_ok = frt_rep.passed
+    cert = {
+        "route": "one-row certificate",
+        "premises": {"frt": frt_ok, "wedge_dim": 1},
+    }
+    coact = qdet_coaction(model, cert)
+    coact_rep = Report(
+        "qdet-coaction",
+        {},
+        frt_ok,
+        witness=None if frt_ok else {"premise": "frt"},
+        details=cert,
+    )
+    coact_rep.ms = (time.perf_counter() - tc) * 1000.0
+    subreports.append(coact_rep)
+    subreports.append(
+        equality_report("qdet-equals-detsigma", {}, coact, ref, time.perf_counter())
+    )
     ti = time.perf_counter()
     image = f_of_D_image(tw, k1, k2)
     subreports.append(

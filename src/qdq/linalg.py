@@ -10,10 +10,13 @@ with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
 pure index bookkeeping.
 
-One reduced-echelon kernel at the bottom, rref_rows, is the only row
-elimination: inversion, kernels and linear solves are thin wrappers over
-it.  It works over any exact field elements supporting +,-,*,/ and
-truthiness, so it serves both RatFunc grids and plain rational grids.
+Two reduced-echelon routines sit at the bottom.  rref_rows reduces dense
+rows and carries extra columns along: inversion (the RREF of [A | I]) and
+linear solves are thin wrappers over it.  sparse_kernel reduces rows
+stored as {column: value} one connected component at a time, and every
+kernel goes through it.  Both work over any exact field elements
+supporting +,-,*,/ and truthiness, so they serve both RatFunc and plain
+rational entries.
 """
 
 from __future__ import annotations
@@ -336,9 +339,9 @@ def gauss_invert(a: Matrix) -> Matrix:
 def kernel_basis(a: Matrix):
     """Deterministic exact basis of the right kernel.
 
-    Reduced echelon form with first-nonzero pivoting; one basis vector per
-    free column in ascending column order, each normalized so its first
-    nonzero coordinate is 1.  Full rank gives the empty list.
+    One basis vector per free column of the reduced echelon form, in
+    ascending column order, each normalized so its first nonzero coordinate
+    is 1 (see sparse_kernel).  Full rank gives the empty list.
     """
     return kernel_basis_grid(a.entries, a.cols, a.field.zero, a.field.one)
 
@@ -405,24 +408,105 @@ def _invert_rows(rows, zero, one):
 
 def kernel_basis_grid(rows, ncols, zero, one):
     """Kernel basis of a raw grid; see kernel_basis for the conventions."""
-    work = [list(r) for r in rows]
-    pivots = rref_rows(work, ncols)
-    pivset = set(pivots)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return sparse_kernel(sparse, ncols, zero, one)
+
+
+def sparse_kernel(rows, ncols, zero, one):
+    """Kernel basis of sparse rows {column: value} over ncols columns.
+
+    The conventions are kernel_basis's: one dense vector per free column of
+    the reduced echelon form, in ascending column order, normalized so its
+    first nonzero coordinate is 1.  The columns are union-found into the
+    connected components of the row/column graph and each component is
+    reduced on its own.  The reduced echelon form of a row space is unique,
+    so neither the split nor the choice of pivot rows can change the basis.
+    The input rows are not modified.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    rows = [row for row in rows if row]
+    for row in rows:
+        cols = iter(row)
+        a = find(next(cols))
+        for c in cols:
+            b = find(c)
+            if b != a:
+                parent[b] = a
+    comp_cols, comp_rows = {}, {}
+    for c in range(ncols):
+        comp_cols.setdefault(find(c), []).append(c)
+    for row in rows:
+        comp_rows.setdefault(find(next(iter(row))), []).append(dict(row))
+    free = []  # (free column, {column: coordinate}) before normalization
+    for root, cols in comp_cols.items():
+        reduced = _sparse_rref(comp_rows.get(root, []), cols, one)
+        for f in cols:
+            if f not in reduced:
+                coords = {pc: -r[f] for pc, r in reduced.items() if f in r}
+                coords[f] = one
+                free.append((f, coords))
+    free.sort(key=lambda item: item[0])
     basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for r, pc in enumerate(pivots):
-            if work[r][f]:
-                v[pc] = -work[r][f]
-        lead = next(c for c in v if c)
+    for _, coords in free:
+        lead = coords[min(coords)]
         if lead != one:
             inv = one / lead
-            v = [c * inv if c else c for c in v]
+            coords = {c: x * inv for c, x in coords.items()}
+        v = [zero] * ncols
+        for c, x in coords.items():
+            v[c] = x
         basis.append(v)
     return basis
+
+
+def _sparse_rref(rows, cols, one):
+    """Reduced echelon form, as {pivot column: row}, of dict rows whose
+    columns all lie in the ascending list cols; rows are reduced in place.
+
+    Columns are scanned in ascending order, so the pivot columns are those
+    of rref_rows.  The pivot row is the one with the fewest nonzeros among
+    the rows left that reach the column (Markowitz), which keeps fill-in
+    small; a pivot row with one entry needs no arithmetic at all.
+    """
+    active = rows
+    reduced = {}
+    for col in cols:
+        hits = [i for i, r in enumerate(active) if col in r]
+        if not hits:
+            continue
+        p = min(hits, key=lambda i: len(active[i]))
+        prow = active[p]
+        targets = [active[i] for i in hits if i != p]
+        targets += [r for r in reduced.values() if col in r]
+        if len(prow) == 1:
+            # the row says x_col = 0, which takes col out of every other row
+            prow = {col: one}
+            for ri in targets:
+                del ri[col]
+        else:
+            lead = prow[col]
+            if lead != one:
+                inv = one / lead
+                prow = {j: x * inv for j, x in prow.items()}
+            for ri in targets:
+                f = ri[col]
+                for j, x in prow.items():
+                    y = ri.get(j)
+                    y = -(f * x) if y is None else y - f * x
+                    if y:
+                        ri[j] = y
+                    else:
+                        del ri[j]
+        reduced[col] = prow
+        active = [r for i, r in enumerate(active) if i != p and r]
+    return reduced
 
 
 def solve_particular(rows, rhs, zero):

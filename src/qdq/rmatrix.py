@@ -25,8 +25,8 @@ from .linalg import (
     flip_perm,
     gauss_invert,
     kernel_basis,
-    kernel_basis_grid,
     leg_embed,
+    sparse_kernel,
 )
 from .quasidet import NCSquare
 from .report import Report, equality_report
@@ -97,21 +97,27 @@ def wedge_top(rhat: Matrix, n: int):
     """Spanning vector of the joint antisymmetric kernel in V^(x)n.
 
     Computes the intersection of ker(Rhat_{i,i+1} + 1/q) over i = 1..n-1
-    by one reduced-echelon pass over the stacked constraints; asserts the
-    intersection is one-dimensional and normalizes the first nonzero
-    coordinate (in lexicographic basis order) to 1.
+    with sparse_kernel.  Each constraint row is built as {column: value}
+    from the nonzeros of C = Rhat + 1/q: on the legs (i, i+1), C's index
+    sits at weight n^(n-i-1), so column c of C becomes c * n^(n-i-1) plus
+    the offset of the other legs.  Asserts the intersection is
+    one-dimensional and normalizes the first nonzero coordinate (in
+    lexicographic basis order) to 1.
     """
     field = rhat.field
     dim = n**n
     if n == 1:
         return [field.one]
-    ident = Matrix.identity(n * n, field)
-    constraint = rhat + ident.scale(field.q_inv)
-    stacked = []
+    constraint = rhat + Matrix.identity(n * n, field).scale(field.q_inv)
+    c_rows = [[(c, x) for c, x in enumerate(row) if x] for row in constraint.entries]
+    c_rows = [row for row in c_rows if row]
+    rows = []
     for i in range(1, n):
-        emb = leg_embed(constraint, (i, i + 1), n, n)
-        stacked.extend(emb.entries)
-    basis = kernel_basis_grid(stacked, dim, field.zero, field.one)
+        low = n ** (n - i - 1)  # weight of leg i + 1
+        for high in range(0, dim, n * n * low):  # the legs before i
+            for off in range(high, high + low):  # and the legs after i + 1
+                rows.extend({c * low + off: x for c, x in row} for row in c_rows)
+    basis = sparse_kernel(rows, dim, field.zero, field.one)
     if len(basis) != 1:
         raise WrongWedgeDimensionError(len(basis))
     return basis[0]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qdq.cli import run
+from qdq.cli import EXIT_INTERNAL, run
+from qdq.frt import build_T, perturbed
 from qdq.io_json import matrix_from_json, ncsquare_to_json
 from qdq.linalg import Matrix
 from qdq.quasidet import NCSquare
@@ -49,6 +50,33 @@ def test_check_main_text_format(capsys):
     code, out, _ = invoke(capsys, "check", "main", "--n", "2", "--format", "text")
     assert code == 0
     assert "main" in out and "pass" in out and "FAIL" not in out
+    lines = out.splitlines()
+    assert lines and all(line.endswith(" ms") or " ms  [" in line for line in lines)
+    (cert,) = [line for line in lines if "qdet-coaction" in line]
+    assert cert.endswith("[one-row certificate]")
+
+
+def test_text_format_names_the_failed_premise(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "qdq.frt.build_T", lambda tw, k1, k2: perturbed(build_T(tw, k1, k2))
+    )
+    code, out, _ = invoke(capsys, "check", "main", "--n", "2", "--format", "text")
+    assert code == 1
+    (cert,) = [line for line in out.splitlines() if "qdet-coaction" in line]
+    assert "FAIL" in cert and cert.endswith("(premise failed: frt)")
+    assert "(first failure: frt)" in out.splitlines()[0]
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr("qdq.frt.frt_check", broken)
+    code, out, err = invoke(capsys, "check", "main", "--n", "2")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: stage broke")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_check_main_json_format(capsys, tmp_path):

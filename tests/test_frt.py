@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdq.errors import CoactionNotProportionalError
-from qdq.linalg import Matrix, first_mismatch, kron
+from qdq.linalg import Matrix, kron
 from qdq.frt import (
     FRTModel,
     build_T,
@@ -93,21 +92,33 @@ def test_qdet_untwisted_identity():
 
 
 def direct_coaction(m, coeffs):
-    """Oracle: every D_I by the plain double sum over the wedge support,
-    as (I, D_I) pairs in lexicographic order of I."""
+    """Oracle: the I-component sum_K c_K T_{i1 k1} ... T_{in kn} of the
+    coaction for every multi-index I in [1..n]^n, on and off the support.
+
+    A plain dynamic program over positions, right to left: after the step
+    for position p the partial sums are keyed by (I[p:], K[:p])."""
     n = m.n
-    terms = sorted(coeffs.items())
-    rows = []
-    for I, cI in terms:
-        acc = None
-        for K, cK in terms:
-            prod = m.entry(I[0], K[0])
-            for pos in range(1, n):
-                prod = prod * m.entry(I[pos], K[pos])
-            prod = prod.scale(cK)
-            acc = prod if acc is None else acc + prod
-        rows.append((I, acc.scale(cI.inv())))
-    return rows
+    sums = {((), K): c for K, c in coeffs.items()}
+    for _ in range(n):
+        nxt = {}
+        for (suffix, prefix), val in sums.items():
+            head, k = prefix[:-1], prefix[-1]
+            for i in range(1, n + 1):
+                t = m.entry(i, k)
+                term = t * val if isinstance(val, Matrix) else t.scale(val)
+                key = ((i,) + suffix, head)
+                nxt[key] = term + nxt[key] if key in nxt else term
+        sums = nxt
+    assert len(sums) == n**n
+    return {I: val for (I, _), val in sums.items()}
+
+
+def coaction_defects(m, coeffs, d):
+    """The multi-indices I whose coaction component is not c_I D, in
+    lexicographic order (c_I = 0, so a zero component, off the support)."""
+    rows = direct_coaction(m, coeffs)
+    zero = m.field.zero
+    return [I for I in sorted(rows) if rows[I] != d.scale(coeffs.get(I, zero))]
 
 
 def wedge_of(m):
@@ -119,9 +130,7 @@ def test_qdet_rescaling_invariance():
     m = build_T(untwisted(2))
     scale = m.field.from_coeffs([2, 0, 3])  # arbitrary nonzero
     scaled = {I: scale * c for I, c in wedge_of(m).items()}
-    ref = qdet_coaction(m)
-    for _, dI in direct_coaction(m, scaled):
-        assert dI == ref
+    assert coaction_defects(m, scaled, qdet_coaction(m)) == []
 
 
 def gl4_with_beta():
@@ -142,30 +151,43 @@ def cg_twist():
     ids=["gl3-cg-k11", "gl3-cg-k21", "gl4-beta-k11"],
 )
 def test_qdet_coaction_matches_direct_sum(make, k1, k2):
+    # D read from one row is the coaction on every row, and every
+    # component off the wedge support vanishes
     m = build_T(make(), k1, k2)
-    rows = direct_coaction(m, wedge_of(m))
-    assert all(dI == rows[0][1] for _, dI in rows)
-    assert qdet_coaction(m) == rows[0][1]
+    coeffs = wedge_of(m)
+    assert len(coeffs) < m.n**m.n
+    assert coaction_defects(m, coeffs, qdet_coaction(m)) == []
 
 
-def test_qdet_perturbed_not_proportional():
-    m = perturbed(build_T(untwisted(2)), 1, 2)
-    with pytest.raises(CoactionNotProportionalError):
-        qdet_coaction(m)
+def assert_perturbation_caught(monkeypatch, tw, i, j):
+    """A perturbed T breaks the exchange relation; the explicit oracle then
+    finds rows that are not c_I D, and the battery fails on frt with the
+    coaction certificate naming its failed premise."""
+    m = perturbed(build_T(tw), i, j)
+    rep = frt_check(m)
+    assert not rep.passed and "coords" in rep.witness
+    coeffs = wedge_of(m)
+    defects = coaction_defects(m, coeffs, qdet_coaction(m))
+    # D is still read off the first support row, which thus agrees with it
+    assert defects and min(coeffs) not in defects
+
+    monkeypatch.setattr("qdq.frt.build_T", lambda tw, k1, k2: m)
+    rep = verify_factorization(tw)
+    assert not rep.passed
+    assert rep.witness["failed"] == "frt" and "coords" in rep.witness
+    checks = {r.check: r for r in rep.details["checks"]}
+    cert = checks["qdet-coaction"]
+    assert not cert.passed and cert.witness == {"premise": "frt"}
+    assert cert.details["premises"] == {"frt": False, "wedge_dim": 1}
+
+
+def test_qdet_perturbed_not_proportional(monkeypatch):
+    assert_perturbation_caught(monkeypatch, untwisted(2), 1, 2)
 
 
 @pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (3, 2)])
-def test_qdet_perturbed_message_follows_oracle_order(i, j):
-    # the suffix-grouped evaluation must still name the lexicographically
-    # first row that disagrees with the first one, as the double sum does
-    m = perturbed(build_T(cg_twist()), i, j)
-    rows = direct_coaction(m, wedge_of(m))
-    I, dI = next((I, dI) for I, dI in rows if dI != rows[0][1])
-    loc = first_mismatch(rows[0][1], dI)
-    want = f"coaction rows disagree at multi-index {I}, entry {loc[:2]}"
-    with pytest.raises(CoactionNotProportionalError) as exc:
-        qdet_coaction(m)
-    assert str(exc.value) == want
+def test_qdet_perturbed_breaks_frt_and_the_certificate(monkeypatch, i, j):
+    assert_perturbation_caught(monkeypatch, cg_twist(), i, j)
 
 
 def test_f_of_D_image_untwisted():
@@ -239,8 +261,16 @@ def test_factors_commute_fails_generic():
 def test_verify_factorization_untwisted_n2():
     rep = verify_factorization(untwisted(2))
     assert rep.passed, rep.witness
-    names = [r.check for r in rep.details["checks"]]
-    assert "frt" in names and "det-sigma-consistency" in names
+    checks = {r.check: r for r in rep.details["checks"]}
+    assert "frt" in checks and "det-sigma-consistency" in checks
+    cert = checks["qdet-coaction"]
+    assert cert.passed and cert.witness is None
+    assert cert.details == {
+        "route": "one-row certificate",
+        "premises": {"frt": True, "wedge_dim": 1},
+        "row": [1, 2],
+        "support": 2,
+    }
 
 
 def test_verify_factorization_cg():
@@ -259,18 +289,18 @@ def test_verify_factorization_corrupted_theta_fails():
 
 
 def test_qdet_subreports_time_their_inputs(monkeypatch):
-    # the coaction is computed inside the qdet-equals-detsigma timing
+    # the wedge and the coaction products are timed by qdet-coaction
     inner = qdet_coaction
 
-    def slow_coaction(model):
+    def slow_coaction(model, certificate=None):
         time.sleep(0.05)
-        return inner(model)
+        return inner(model, certificate)
 
     monkeypatch.setattr("qdq.frt.qdet_coaction", slow_coaction)
     rep = verify_factorization(untwisted(2))
     assert rep.passed, rep.witness
     ms = {r.check: r.ms for r in rep.details["checks"]}
-    assert ms["qdet-equals-detsigma"] >= 50.0
+    assert ms["qdet-coaction"] >= 50.0
 
 
 def test_factor_and_reference_timers_cover_their_inputs(monkeypatch):

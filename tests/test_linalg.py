@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qdq.errors import SingularMatrixError
+from qdq.errors import SingularMatrixError, WrongWedgeDimensionError
 from qdq.linalg import (
     Matrix,
     TensorIndexing,
@@ -14,12 +15,17 @@ from qdq.linalg import (
     gauss_invert,
     kernel_basis,
     kron,
+    kernel_basis_grid,
     leg_embed,
+    rref_rows,
     solve_particular,
+    sparse_kernel,
 )
 from qdq.quasidet import NCSquare
 from qdq.report import equality_report
+from qdq.rmatrix import r_hat, wedge_top
 from qdq.scalars import ScalarField
+from qdq.twist import BDTriple, build_twist, untwisted
 
 F = ScalarField(1)
 
@@ -213,6 +219,108 @@ def test_kernel_members_annihilated():
         )
         for v in kernel_basis(m):
             assert all(not c for c in mat_vec(m, v))
+
+
+def dense_kernel(rows, ncols, zero, one):
+    """Oracle: the dense reduced-echelon kernel (rref_rows, first-nonzero
+    pivoting) that sparse_kernel replaced, with the same conventions."""
+    work = [list(r) for r in rows]
+    pivots = rref_rows(work, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for r, pc in enumerate(pivots):
+            if work[r][f]:
+                v[pc] = -work[r][f]
+        lead = next(c for c in v if c)
+        v = [c / lead for c in v]
+        basis.append(v)
+    return basis
+
+
+def random_sparse_system(rng, value):
+    """Sparse rows over columns split at random into up to three groups that
+    no row crosses; a column is left out of every row with odds 1/6."""
+    ncols = rng.randint(1, 9)
+    groups = rng.randint(1, 3)
+    group = [rng.randrange(groups) for _ in range(ncols)]
+    used = [c for c in range(ncols) if rng.randrange(6)]
+    rows = []
+    for _ in range(rng.randint(0, 11)):
+        g = rng.randrange(groups)
+        cols = [c for c in used if group[c] == g]
+        if cols:
+            pick = rng.sample(cols, rng.randint(1, min(3, len(cols))))
+            rows.append({c: value(rng) for c in sorted(pick)})
+    return rows, ncols, len({group[c] for row in rows for c in row}), len(used) < ncols
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _nonzero_ratfunc(rng):
+    num = [rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2)]
+    return F.from_coeffs(num, [rng.randint(1, 2), rng.randint(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "value, zero, one",
+    [(_nonzero_fraction, Fraction(0), Fraction(1)), (_nonzero_ratfunc, F.zero, F.one)],
+    ids=["fraction", "ratfunc"],
+)
+def test_sparse_kernel_matches_dense_oracle(value, zero, one):
+    rng = random.Random(31)
+    dims, split, empty = set(), False, False
+    for _ in range(150):
+        rows, ncols, groups, has_empty = random_sparse_system(rng, value)
+        before = [dict(r) for r in rows]
+        dense = [[r.get(c, zero) for c in range(ncols)] for r in rows]
+        want = dense_kernel(dense, ncols, zero, one)
+        assert sparse_kernel(rows, ncols, zero, one) == want
+        assert kernel_basis_grid(dense, ncols, zero, one) == want
+        assert rows == before
+        dims.add(min(len(want), 2))
+        split |= groups > 1
+        empty |= has_empty
+    assert dims == {0, 1, 2} and split and empty
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: untwisted(2),
+        lambda: untwisted(3),
+        lambda: build_twist(BDTriple.make(3, [1], [2], {1: 2})),
+        lambda: build_twist(BDTriple.make(4, [1], [3], {1: 3})),
+    ],
+    ids=["gl2", "gl3", "gl3-cg", "gl4-1to3"],
+)
+def test_wedge_top_matches_dense_stacked_kernel(make):
+    tw = make()
+    n, f = tw.n, tw.field
+    rhat = r_hat(tw.r_j)
+    c = rhat + Matrix.identity(n * n, f).scale(f.q_inv)
+    stacked = [row for i in range(1, n) for row in leg_embed(c, (i, i + 1), n, n).entries]
+    assert dense_kernel(stacked, n**n, f.zero, f.one) == [wedge_top(rhat, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wedge_rows_cover_every_leg_pair_and_offset(n):
+    # with C = Rhat + 1/q = E_11 (x) E_11 the joint kernel is spanned by the
+    # basis vectors with no two adjacent factors v1 v1; a coordinate with one
+    # such pair is pinned by one row only, so a missing row shows in the dim
+    rhat = Matrix.unit(n * n, n * n, 1, 1, F) - Matrix.identity(n * n, F).scale(F.q_inv)
+    want = sum(
+        all(pair != (0, 0) for pair in zip(idx, idx[1:]))
+        for idx in product(range(n), repeat=n)
+    )
+    with pytest.raises(WrongWedgeDimensionError) as exc:
+        wedge_top(rhat, n)
+    assert exc.value.dim == want
 
 
 def test_block_square_flatten_roundtrip():

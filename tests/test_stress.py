@@ -2,17 +2,17 @@
 
 import pytest
 
-from qdq.frt import verify_factorization
-from qdq.quasidet import all_sigmas
+from qdq.frt import build_T, qdet_coaction
 from qdq.twist import BDTriple, build_twist
+
+from test_frt import coaction_defects, wedge_of
 
 
 @pytest.mark.slow
-def test_gl5_two_root_block_battery():
-    # a twist whose diagram block has two roots: exercises the multi-term
-    # unipotent part and root order 3 (the block Gram inverse has thirds)
-    t = BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4})
-    tw = build_twist(t)
-    assert tw.field.root_order == 3
-    rep = verify_factorization(tw, sigmas=all_sigmas(5)[:8])
-    assert rep.passed, rep.witness
+def test_gl5_coaction_on_every_row():
+    # the explicit oracle on all 5^5 rows of the two-root gl5 model: D read
+    # from one row is the coaction everywhere, and off the support it is 0
+    tw = build_twist(BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4}))
+    m = build_T(tw)
+    coeffs = wedge_of(m)
+    assert coaction_defects(m, coeffs, qdet_coaction(m)) == []
