@@ -233,16 +233,13 @@ def cmd_check(args) -> int:
     if kind in ("ybe", "hecke"):
         triple = _triple_from_args(args)
         if triple.is_empty():
-            r = standard_r(args.n, ScalarField(args.root_order))
+            r = standard_r(args.n, ScalarField(1))
         else:
             r = _twist_from_args(args).r_j
         rep = ybe_check(r) if kind == "ybe" else hecke_check(r_hat(r), r.field)
         return _finish_report(rep, args)
     if kind == "cocycle":
-        triple = _triple_from_args(args)
-        theta = _load_grid(args.theta, args.n) if args.theta else None
-        beta = _load_grid(args.beta, args.n) if args.beta else None
-        return _finish_report(cocycle_check(triple, theta, beta), args)
+        return _finish_report(cocycle_check(_twist_from_args(args)), args)
     if kind == "frt":
         tw = _twist_from_args(args)
         rep = frt_check(build_T(tw, args.k1, args.k2))
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run an exact identity check")
     p.add_argument("kind", choices=["ybe", "hecke", "cocycle", "frt", "main"])
     add_triple_opts(p)
-    p.add_argument("--root-order", type=_positive_int, default=1, dest="root_order")
     p.add_argument("--theta", help="JSON file with a theta grid")
     p.add_argument("--beta", help="JSON file with a beta grid")
     p.add_argument("--k1", type=_positive_int, default=1)

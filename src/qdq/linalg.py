@@ -10,13 +10,13 @@ with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
 pure index bookkeeping.
 
-Two reduced-echelon routines sit at the bottom.  rref_rows reduces dense
-rows and carries extra columns along: inversion (the RREF of [A | I]) and
-linear solves are thin wrappers over it.  sparse_kernel reduces rows
-stored as {column: value} one connected component at a time, and every
-kernel goes through it.  Both work over any exact field elements
-supporting +,-,*,/ and truthiness, so they serve both RatFunc and plain
-rational entries.
+One reduced-echelon routine sits at the bottom: rref_rows reduces rows
+stored as {column: value} and carries the columns it does not pivot on
+along.  Inversion (the RREF of [A | I]), linear solves and the Cartan
+echelon rows are thin wrappers over it, and sparse_kernel runs it once
+per connected component for every kernel.  It works over any exact field
+elements supporting +,-,*,/ and truthiness, so it serves both RatFunc and
+plain rational entries.
 """
 
 from __future__ import annotations
@@ -204,19 +204,6 @@ def first_mismatch(a: Matrix, b: Matrix):
     return None
 
 
-def mat_vec(m: Matrix, v):
-    zero = m.field.zero
-    out = [zero] * m.rows
-    for i in range(m.rows):
-        acc = zero
-        row = m.entries[i]
-        for j, x in enumerate(v):
-            if x and row[j]:
-                acc = acc + row[j] * x
-        out[i] = acc
-    return out
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; left factor is the most significant index."""
     if a.field.root_order != b.field.root_order:
@@ -332,7 +319,7 @@ def gauss_invert(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
     return Matrix(
-        a.rows, a.cols, _invert_rows(a.entries, a.field.zero, a.field.one), a.field
+        a.rows, a.cols, invert_grid(a.entries, a.field.zero, a.field.one), a.field
     )
 
 
@@ -347,69 +334,95 @@ def kernel_basis(a: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# The reduced-echelon kernel and its wrappers (any exact field entries)
+# The reduced-echelon routine and its wrappers (any exact field entries)
 # ---------------------------------------------------------------------------
 
-def rref_rows(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list.
+def rref_rows(rows, cols, one):
+    """Reduced row echelon form of rows {column: value}, reduced in place.
 
-    Pivots are sought in the first ncols columns only, taking the first
-    nonzero entry of the column: magnitude is undefined over Q(s) and this
-    keeps the elimination deterministic.  Row operations span the whole
-    row, so columns past ncols (a right-hand side, or the identity block
-    of [A | I]) are carried along.
+    Returns {pivot column: row} in ascending pivot order.  Pivots are
+    sought in the ascending columns cols only, so they are those of the
+    first-nonzero dense elimination; every other column a row holds (the
+    identity block of [A | I], say) is carried along by the row
+    operations.  The pivot row is the one with the fewest nonzeros among
+    the rows left that reach the column (Markowitz), which keeps fill-in
+    small.  The reduced echelon form of a row space is unique, so the
+    pivot rule cannot change the result.
     """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
+    active = rows
+    reduced = {}
+    for col in cols:
+        hits = [i for i, r in enumerate(active) if col in r]
+        if not hits:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        lead = prow[col]
-        if lead != 1:
-            inv = 1 / lead
-            rows[r] = prow = [x * inv if x else x for x in prow]
-        nz = [j for j in range(col, len(prow)) if prow[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            ri = rows[i]
-            f = ri[col]
-            if not f:
-                continue
-            for j in nz:
-                ri[j] = ri[j] - f * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        p = min(hits, key=lambda i: len(active[i]))
+        prow = active[p]
+        targets = [active[i] for i in hits if i != p]
+        targets += [r for r in reduced.values() if col in r]
+        # the pivot entry becomes 1 and col leaves every other row with no
+        # arithmetic; a row with no other entry needs none at all
+        lead = prow.pop(col)
+        if prow and lead != one:
+            inv = one / lead
+            prow = {j: x * inv for j, x in prow.items()}
+        for ri in targets:
+            f = ri.pop(col)
+            for j, x in prow.items():
+                y = ri.get(j)
+                y = -(f * x) if y is None else y - f * x
+                if y:
+                    ri[j] = y
+                else:
+                    del ri[j]
+        prow[col] = one
+        reduced[col] = prow
+        active = [r for i, r in enumerate(active) if i != p and r]
+    return reduced
 
 
-def _invert_rows(rows, zero, one):
+def _dict_rows(grid):
+    return [{j: x for j, x in enumerate(row) if x} for row in grid]
+
+
+def invert_grid(rows, zero, one):
     """Inverse of a square grid of field elements, as a new grid.
 
     Raises SingularMatrixError naming the first column without a pivot.
     """
     n = len(rows)
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    pivots = rref_rows(aug, n)
-    if len(pivots) < n:
-        col = next(c for c in range(n) if c >= len(pivots) or pivots[c] != c)
+    aug = _dict_rows(rows)
+    for i, row in enumerate(aug):
+        row[n + i] = one
+    reduced = rref_rows(aug, range(n), one)
+    if len(reduced) < n:
+        col = next(c for c in range(n) if c not in reduced)
         raise SingularMatrixError(f"rank deficiency found at column {col}")
-    return [row[n:] for row in aug]
+    return [[reduced[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+
+
+def solve_particular(rows, rhs, zero, one):
+    """One exact solution of A x = b with free variables set to zero.
+
+    The right-hand side is the last pivot-eligible column of [A | b]; the
+    system is inconsistent, and the result None, when it holds a pivot.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = _dict_rows(rows)
+    for row, b in zip(aug, rhs):
+        if b:
+            row[ncols] = b
+    reduced = rref_rows(aug, range(ncols + 1), one)
+    if ncols in reduced:
+        return None
+    x = [zero] * ncols
+    for pc, row in reduced.items():
+        x[pc] = row.get(ncols, zero)
+    return x
 
 
 def kernel_basis_grid(rows, ncols, zero, one):
     """Kernel basis of a raw grid; see kernel_basis for the conventions."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    return sparse_kernel(sparse, ncols, zero, one)
+    return sparse_kernel(_dict_rows(rows), ncols, zero, one)
 
 
 def sparse_kernel(rows, ncols, zero, one):
@@ -446,7 +459,7 @@ def sparse_kernel(rows, ncols, zero, one):
         comp_rows.setdefault(find(next(iter(row))), []).append(dict(row))
     free = []  # (free column, {column: coordinate}) before normalization
     for root, cols in comp_cols.items():
-        reduced = _sparse_rref(comp_rows.get(root, []), cols, one)
+        reduced = rref_rows(comp_rows.get(root, []), cols, one)
         for f in cols:
             if f not in reduced:
                 coords = {pc: -r[f] for pc, r in reduced.items() if f in r}
@@ -464,62 +477,3 @@ def sparse_kernel(rows, ncols, zero, one):
             v[c] = x
         basis.append(v)
     return basis
-
-
-def _sparse_rref(rows, cols, one):
-    """Reduced echelon form, as {pivot column: row}, of dict rows whose
-    columns all lie in the ascending list cols; rows are reduced in place.
-
-    Columns are scanned in ascending order, so the pivot columns are those
-    of rref_rows.  The pivot row is the one with the fewest nonzeros among
-    the rows left that reach the column (Markowitz), which keeps fill-in
-    small; a pivot row with one entry needs no arithmetic at all.
-    """
-    active = rows
-    reduced = {}
-    for col in cols:
-        hits = [i for i, r in enumerate(active) if col in r]
-        if not hits:
-            continue
-        p = min(hits, key=lambda i: len(active[i]))
-        prow = active[p]
-        targets = [active[i] for i in hits if i != p]
-        targets += [r for r in reduced.values() if col in r]
-        if len(prow) == 1:
-            # the row says x_col = 0, which takes col out of every other row
-            prow = {col: one}
-            for ri in targets:
-                del ri[col]
-        else:
-            lead = prow[col]
-            if lead != one:
-                inv = one / lead
-                prow = {j: x * inv for j, x in prow.items()}
-            for ri in targets:
-                f = ri[col]
-                for j, x in prow.items():
-                    y = ri.get(j)
-                    y = -(f * x) if y is None else y - f * x
-                    if y:
-                        ri[j] = y
-                    else:
-                        del ri[j]
-        reduced[col] = prow
-        active = [r for i, r in enumerate(active) if i != p and r]
-    return reduced
-
-
-def solve_particular(rows, rhs, zero):
-    """One exact solution of A x = b with free variables set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = rref_rows(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][ncols]
-    return x

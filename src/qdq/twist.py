@@ -35,9 +35,9 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    _invert_rows,
     flip_perm,
     gauss_invert,
+    invert_grid,
     kernel_basis_grid,
     leg_embed,
     rref_rows,
@@ -160,14 +160,14 @@ def _alpha(i: int, n: int):
 
 
 def _echelon_rows(rows, n):
-    work = [list(r) for r in rows]
-    rref_rows(work, n)
-    return [r for r in work if any(r)]
+    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    reduced = rref_rows(work, range(n), _Q1)
+    return [[r.get(j, _Q0) for j in range(n)] for r in reduced.values()]
 
 
 def _rational_inverse(grid):
     try:
-        return _invert_rows(grid, _Q0, _Q1)
+        return invert_grid(grid, _Q0, _Q1)
     except SingularMatrixError as exc:
         raise NoSolutionError("Gram matrix is singular") from exc
 
@@ -296,7 +296,7 @@ def solve_theta(t: BDTriple) -> ThetaSolution:
     if not rows:
         theta = [[_Q0] * n for _ in range(n)]
         return ThetaSolution(theta, [r[:] for r in z])
-    x = solve_particular(rows, rhs, _Q0)
+    x = solve_particular(rows, rhs, _Q0, _Q1)
     if x is None:
         raise NoSolutionError("moment conditions are inconsistent for a valid triple")
     theta = [[x[unk(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -336,7 +336,7 @@ def _in_span(vec, basis_rows, n):
     if not basis_rows:
         return False
     rows = [[basis_rows[b][k] for b in range(len(basis_rows))] for k in range(n)]
-    return solve_particular(rows, list(vec), _Q0) is not None
+    return solve_particular(rows, vec, _Q0, _Q1) is not None
 
 
 def _check_beta(beta, cd: CartanData, n: int):

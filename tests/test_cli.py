@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from qdq.linalg import Matrix
 from qdq.quasidet import NCSquare
 from qdq.rmatrix import standard_r
 from qdq.scalars import ScalarField
+from qdq.twist import enumerate_triples
 
 
 def invoke(capsys, *argv):
@@ -323,6 +325,14 @@ def test_integer_arguments_validated_before_work(capsys, argv):
     assert "expected an integer >= 1" in err and "Traceback" not in err
 
 
+def test_check_has_no_root_order_flag(capsys):
+    # the root order of a check follows from the triple; std-r keeps the flag
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "ybe", "--n", "2", "--root-order", "2"])
+    assert exc.value.code == 2
+    assert "--root-order" in capsys.readouterr().err
+
+
 _ONE = {"num": ["1"], "den": ["1"]}
 _UNIT_BLOCK = {"rows": 1, "cols": 1, "entries": [[_ONE]]}
 
@@ -386,3 +396,48 @@ def test_bad_sigma_named_before_any_work(capsys, monkeypatch, value, token):
     code, out, err = invoke(capsys, "check", "main", "--n", "2", "--sigma", value)
     assert code == 2 and out == ""
     assert err.startswith(f"error: --sigma: {token}")
+
+
+def _strip_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_ms(v) for k, v in obj.items() if k != "ms"}
+    if isinstance(obj, list):
+        return [_strip_ms(v) for v in obj]
+    return obj
+
+
+def test_cli_outputs_golden_digest(capsys, tmp_path):
+    # solve-theta for every triple with n <= 4; check ybe, hecke, cocycle
+    # and main for every triple with n <= 3; and a cocycle check with a
+    # bad Theta, which fails with a witness.  The JSON outputs, timings
+    # stripped, are pinned byte for byte by one sha256.
+    runs = []
+    for n in range(1, 5):
+        for t in enumerate_triples(n):
+            args = [
+                "--n", str(n),
+                "--g1", ",".join(map(str, t.gamma1)),
+                "--g2", ",".join(map(str, t.gamma2)),
+                "--tau", ",".join(f"{a}>{b}" for a, b in t.tau_pairs),
+            ]
+            runs.append((["solve-theta", *args], 0))
+            if n <= 3:
+                for kind in ("ybe", "hecke", "cocycle", "main"):
+                    runs.append((["check", kind, *args], 0))
+    bad = tmp_path / "theta.json"
+    bad.write_text(json.dumps({"theta": [["1/2", "0", "0"], ["0"] * 3, ["0"] * 3]}))
+    cg = ["--n", "3", "--g1", "1", "--g2", "2", "--tau", "1>2"]
+    runs.append((["check", "cocycle", *cg, "--theta", str(bad)], 1))
+    payload = []
+    for argv, want in runs:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (want, ""), argv
+        label = [a if a != str(bad) else "theta.json" for a in argv]
+        payload.append([label, code, _strip_ms(json.loads(out))])
+    assert "coords" in payload[-1][2]["witness"]
+    assert len(payload) == 33
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "20df6a0c41424b416d50c0498d16c85c672eda64a4ca508af05487a431762656"
+    )

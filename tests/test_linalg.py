@@ -5,6 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from dense_elimination import echelon_rows as dense_echelon_rows
+from dense_elimination import invert_grid as dense_invert_grid
+from dense_elimination import rref_rows as dense_rref_rows
+from dense_elimination import solve_particular as dense_solve_particular
 
 from qdq.errors import SingularMatrixError, WrongWedgeDimensionError
 from qdq.linalg import (
@@ -13,11 +17,11 @@ from qdq.linalg import (
     first_mismatch,
     flip_perm,
     gauss_invert,
+    invert_grid,
     kernel_basis,
     kron,
     kernel_basis_grid,
     leg_embed,
-    rref_rows,
     solve_particular,
     sparse_kernel,
 )
@@ -25,7 +29,7 @@ from qdq.quasidet import NCSquare
 from qdq.report import equality_report
 from qdq.rmatrix import r_hat, wedge_top
 from qdq.scalars import ScalarField
-from qdq.twist import BDTriple, build_twist, untwisted
+from qdq.twist import BDTriple, _echelon_rows, build_twist, untwisted
 
 F = ScalarField(1)
 
@@ -208,8 +212,6 @@ def test_kernel_basis():
 
 def test_kernel_members_annihilated():
     rng = random.Random(5)
-    from qdq.linalg import mat_vec
-
     for _ in range(10):
         m = Matrix(
             3,
@@ -218,14 +220,14 @@ def test_kernel_members_annihilated():
             F,
         )
         for v in kernel_basis(m):
-            assert all(not c for c in mat_vec(m, v))
+            assert (m * Matrix(5, 1, [[c] for c in v], F)).is_zero()
 
 
 def dense_kernel(rows, ncols, zero, one):
     """Oracle: the dense reduced-echelon kernel (rref_rows, first-nonzero
     pivoting) that sparse_kernel replaced, with the same conventions."""
     work = [list(r) for r in rows]
-    pivots = rref_rows(work, ncols)
+    pivots = dense_rref_rows(work, ncols)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -267,11 +269,14 @@ def _nonzero_ratfunc(rng):
     return F.from_coeffs(num, [rng.randint(1, 2), rng.randint(0, 1)])
 
 
-@pytest.mark.parametrize(
+_FIELDS = pytest.mark.parametrize(
     "value, zero, one",
     [(_nonzero_fraction, Fraction(0), Fraction(1)), (_nonzero_ratfunc, F.zero, F.one)],
     ids=["fraction", "ratfunc"],
 )
+
+
+@_FIELDS
 def test_sparse_kernel_matches_dense_oracle(value, zero, one):
     rng = random.Random(31)
     dims, split, empty = set(), False, False
@@ -445,13 +450,112 @@ def test_shape_mismatch_has_its_own_witness():
 
 def test_solve_particular():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    x = solve_particular(rows, [Fraction(4), Fraction(0)], Fraction(0))
+    zero, one = Fraction(0), Fraction(1)
+    x = solve_particular(rows, [Fraction(4), Fraction(0)], zero, one)
     assert x == [Fraction(2), Fraction(2)]
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve_particular(rows, [Fraction(1), Fraction(3)], Fraction(0)) is None
+    assert solve_particular(rows, [Fraction(1), Fraction(3)], zero, one) is None
     # underdetermined: free variable pinned to zero
     rows = [[Fraction(1), Fraction(1)]]
-    assert solve_particular(rows, [Fraction(5)], Fraction(0)) == [
+    assert solve_particular(rows, [Fraction(5)], zero, one) == [
         Fraction(5),
         Fraction(0),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the dense first-nonzero elimination
+# ---------------------------------------------------------------------------
+
+def _sparse_value(rng, value, zero):
+    return value(rng) if rng.randrange(3) else zero
+
+
+def _random_square(rng, value, zero, n):
+    """A random n x n grid; about one in two is made singular by a zero
+    column or by a row equal to a multiple of another row."""
+    rows = [[_sparse_value(rng, value, zero) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = zero
+    elif kind == 1 and n > 1:
+        i, k = rng.sample(range(n), 2)
+        f = value(rng)
+        rows[i] = [f * x for x in rows[k]]
+    return rows
+
+
+def _inverse_or_message(invert, rows, zero, one):
+    try:
+        return invert([list(r) for r in rows], zero, one)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+@_FIELDS
+def test_invert_grid_matches_dense_oracle(value, zero, one):
+    rng = random.Random(17)
+    messages = set()
+    inverted = 0
+    for _ in range(120):
+        rows = _random_square(rng, value, zero, rng.randint(1, 5))
+        want = _inverse_or_message(dense_invert_grid, rows, zero, one)
+        assert _inverse_or_message(invert_grid, rows, zero, one) == want
+        if isinstance(want, str):
+            messages.add(want)
+        else:
+            inverted += 1
+    assert inverted >= 20 and len(messages) >= 3
+
+
+@_FIELDS
+def test_solve_particular_matches_dense_oracle(value, zero, one):
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [
+            [_sparse_value(rng, value, zero) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if rng.randrange(2):
+            rows[rng.randrange(nrows)] = [zero] * ncols
+        if rng.randrange(2):
+            x0 = [_sparse_value(rng, value, zero) for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(r, x0) if a and b), zero) for r in rows]
+        else:
+            rhs = [_sparse_value(rng, value, zero) for _ in range(nrows)]
+        want = dense_solve_particular([list(r) for r in rows], list(rhs), zero)
+        before = [list(r) for r in rows]
+        assert solve_particular(rows, rhs, zero, one) == want
+        assert rows == before
+        if want is None:
+            seen.add("inconsistent")
+        else:
+            seen.add("consistent")
+            if any(not any(r[c] for r in rows) for c in range(ncols)):
+                seen.add("free column")
+            if any(not any(r) for r in rows):
+                seen.add("zero row")
+    assert seen == {"inconsistent", "consistent", "free column", "zero row"}
+
+
+@_FIELDS
+def test_echelon_rows_match_dense_oracle(value, zero, one):
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(100):
+        nrows, n = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [
+            [_sparse_value(rng, value, zero) for _ in range(n)] for _ in range(nrows)
+        ]
+        if nrows > 1 and rng.randrange(2):
+            rows[0] = [a + b for a, b in zip(rows[0], rows[-1])]
+            rows.append(list(rows[0]))
+        want = dense_echelon_rows(rows, n)
+        got = _echelon_rows(rows, n)
+        assert got == want
+        ranks.add((len(want) == n, len(want) < len(rows)))
+    assert ranks == {(True, True), (True, False), (False, True), (False, False)}

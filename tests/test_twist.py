@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from dense_elimination import rref_rows
 
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
-from qdq.linalg import Matrix, TensorIndexing, rref_rows
+from qdq.linalg import Matrix, TensorIndexing
 from qdq.rmatrix import hecke_check, r_hat, standard_r, wedge_top, ybe_check
 from qdq.scalars import Q
 from qdq.twist import (
