@@ -221,7 +221,11 @@ def cmd_solve_theta(args) -> int:
 
 def cmd_quasidet(args) -> int:
     with open(args.file) as fh:
-        x = ncsquare_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        x = ncsquare_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.file}: {exc}") from None
     value = quasideterminant(x, args.i, args.j)
     encode = matrix_to_json if isinstance(value, Matrix) else ratfunc_to_json
     _emit({"root_order": x.field.root_order, "value": encode(value)}, args)
@@ -231,11 +235,7 @@ def cmd_quasidet(args) -> int:
 def cmd_check(args) -> int:
     kind = args.kind
     if kind in ("ybe", "hecke"):
-        triple = _triple_from_args(args)
-        if triple.is_empty():
-            r = standard_r(args.n, ScalarField(1))
-        else:
-            r = _twist_from_args(args).r_j
+        r = _twist_from_args(args).r_j
         rep = ybe_check(r) if kind == "ybe" else hecke_check(r_hat(r), r.field)
         return _finish_report(rep, args)
     if kind == "cocycle":

@@ -22,12 +22,18 @@ The verifier checks, all by exact matrix identities:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from .linalg import Matrix, first_mismatch, kron, leg_embed
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
-from .report import Report, aggregate_report, equality_report, mismatch_witness
+from .report import (
+    Clock,
+    Report,
+    aggregate_report,
+    equality_report,
+    mismatch_witness,
+    timed,
+)
 from .rmatrix import (
     hecke_check,
     l_minus,
@@ -99,9 +105,9 @@ def flat_T_via_leg_product(tw: Twist, k1: int, k2: int) -> Matrix:
     return lp_full * lm_full
 
 
+@timed
 def frt_check(m: FRTModel) -> Report:
     """R12 T13 T23 = T23 T13 R12 on V (x) V (x) W1 (x) W2, exactly."""
-    t0 = time.perf_counter()
     n = m.n
     ktot = 2 + m.k1 + m.k2
     w_legs = tuple(range(3, ktot + 1))
@@ -111,9 +117,7 @@ def frt_check(m: FRTModel) -> Report:
     t23 = leg_embed(tflat, (2,) + w_legs, n, ktot)
     lhs = r12 * t13 * t23
     rhs = t23 * t13 * r12
-    return equality_report(
-        "frt", {"n": n, "k1": m.k1, "k2": m.k2}, lhs, rhs, t0
-    )
+    return equality_report("frt", {"n": n, "k1": m.k1, "k2": m.k2}, lhs, rhs)
 
 
 def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
@@ -192,34 +196,23 @@ def detsigma_T(m: FRTModel, sigma, factors=None):
     return det_sigma(m.t_blocks, sigma, factors=factors), factors
 
 
-def factors_commute(m: FRTModel, factors=None, t0=None) -> Report:
-    """Pairwise commutators of the quasiminor factors vanish exactly.
-
-    t0, when given, is the clock reading at which the caller started
-    computing the factors, so the report's time includes them."""
-    if t0 is None:
-        t0 = time.perf_counter()
+@timed
+def factors_commute(m: FRTModel, factors=None) -> Report:
+    """Pairwise commutators of the quasiminor factors vanish exactly."""
     if factors is None:
         factors = detsigma_factors(m)
+    rep = Report("factors-commute", {"n": m.n, "k1": m.k1, "k2": m.k2}, True)
     for a in range(len(factors)):
         for b in range(a + 1, len(factors)):
-            lhs = factors[a] * factors[b]
-            rhs = factors[b] * factors[a]
-            loc = first_mismatch(lhs, rhs)
+            loc = first_mismatch(factors[a] * factors[b], factors[b] * factors[a])
             if loc is not None:
-                rep = Report(
-                    "factors-commute",
-                    {"n": m.n, "k1": m.k1, "k2": m.k2},
-                    False,
-                    witness=mismatch_witness(loc, a + 1, b + 1),
-                )
-                rep.ms = (time.perf_counter() - t0) * 1000.0
+                rep.passed = False
+                rep.witness = mismatch_witness(loc, a + 1, b + 1)
                 return rep
-    rep = Report("factors-commute", {"n": m.n, "k1": m.k1, "k2": m.k2}, True)
-    rep.ms = (time.perf_counter() - t0) * 1000.0
     return rep
 
 
+@timed
 def verify_factorization(
     tw: Twist, k1: int = 1, k2: int = 1, sigmas=None
 ) -> Report:
@@ -231,8 +224,13 @@ def verify_factorization(
     orderings, the coaction certificate for the determinant image D
     (which fails, naming the premise, when the exchange relations fail),
     and equality of D with det_sigma and with the grouplike image.
+
+    One clock stamps each subreport from the end of the one before, so a
+    check's ms counts the inputs built for it (T in frt, the factors in
+    factors-commute, the reference ordering in det-sigma-consistency, the
+    wedge in qdet-coaction) and the subreports add up to the whole run.
     """
-    t0 = time.perf_counter()
+    clock = Clock()
     n = tw.n
     if sigmas is None:
         sigmas = all_sigmas(n)
@@ -249,18 +247,16 @@ def verify_factorization(
         "root_order": tw.field.root_order,
     }
     subreports = [
-        ybe_check(tw.r_j),
-        hecke_check(r_hat(tw.r_j), tw.field),
-        cocycle_check(tw),
+        clock.stamp(ybe_check(tw.r_j)),
+        clock.stamp(hecke_check(r_hat(tw.r_j), tw.field)),
+        clock.stamp(cocycle_check(tw)),
     ]
     model = build_T(tw, k1, k2)
-    frt_rep = frt_check(model)
+    frt_rep = clock.stamp(frt_check(model))
     subreports.append(frt_rep)
-    tf = time.perf_counter()
     factors = detsigma_factors(model)
-    subreports.append(factors_commute(model, factors, tf))
+    subreports.append(clock.stamp(factors_commute(model, factors)))
 
-    ts = time.perf_counter()
     ref, _ = detsigma_T(model, sigmas[0], factors)
     sigma_rep = Report("det-sigma-consistency", {"sigmas": len(sigmas)}, True)
     for sigma in sigmas[1:]:
@@ -270,10 +266,8 @@ def verify_factorization(
             sigma_rep.passed = False
             sigma_rep.witness = mismatch_witness(loc, sigma=list(sigma))
             break
-    sigma_rep.ms = (time.perf_counter() - ts) * 1000.0
-    subreports.append(sigma_rep)
+    subreports.append(clock.stamp(sigma_rep))
 
-    tc = time.perf_counter()
     frt_ok = frt_rep.passed
     cert = {
         "route": "one-row certificate",
@@ -287,17 +281,15 @@ def verify_factorization(
         witness=None if frt_ok else {"premise": "frt"},
         details=cert,
     )
-    coact_rep.ms = (time.perf_counter() - tc) * 1000.0
-    subreports.append(coact_rep)
+    subreports.append(clock.stamp(coact_rep))
     subreports.append(
-        equality_report("qdet-equals-detsigma", {}, coact, ref, time.perf_counter())
+        clock.stamp(equality_report("qdet-equals-detsigma", {}, coact, ref))
     )
-    ti = time.perf_counter()
     image = f_of_D_image(tw, k1, k2)
     subreports.append(
-        equality_report("qdet-equals-grouplike-image", {}, coact, image, ti)
+        clock.stamp(equality_report("qdet-equals-grouplike-image", {}, coact, image))
     )
-    return aggregate_report("main", params, subreports, t0)
+    return aggregate_report("main", params, subreports)
 
 
 def perturbed(m: FRTModel, i: int = 1, j: int = 1, delta=None) -> FRTModel:

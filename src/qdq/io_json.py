@@ -57,17 +57,33 @@ def ncsquare_to_json(x: NCSquare) -> dict:
     return out
 
 
+def _square_entry(read, e, field, i, j):
+    try:
+        return read(e, field)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        why = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"entry ({i}, {j}) of the square is malformed: {why}") from None
+
+
 def ncsquare_from_json(obj) -> NCSquare:
-    """Decode ncsquare_to_json's format; size and inner_dim must match the grid."""
+    """Decode ncsquare_to_json's format; size and inner_dim must match the grid.
+
+    A malformed entry raises a ValueError naming its 1-based row and column."""
     grid = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
         raise ValueError('expected an object whose "entries" is a list of rows')
     read = matrix_from_json if "inner_dim" in obj else ratfunc_from_json
     try:
         field = ScalarField(int(obj.get("root_order", 1)))
-        x = NCSquare([[read(e, field) for e in row] for row in grid], field)
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed square: {exc}") from None
+    x = NCSquare(
+        [
+            [_square_entry(read, e, field, i, j) for j, e in enumerate(row, 1)]
+            for i, row in enumerate(grid, 1)
+        ],
+        field,
+    )
     for key, have in (("size", x.m), ("inner_dim", x.inner)):
         if obj.get(key, have) != have:
             raise ValueError(f"declared {key} {obj[key]!r} does not match the grid's {have}")

@@ -12,9 +12,9 @@ pure index bookkeeping.
 
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
-along.  Inversion (the RREF of [A | I]), linear solves and the Cartan
-echelon rows are thin wrappers over it, and sparse_kernel runs it once
-per connected component for every kernel.  It works over any exact field
+along.  Inversion (the RREF of [A | I]) and linear solves are thin
+wrappers over it, and sparse_kernel runs it once per connected component
+for every kernel.  It works over any exact field
 elements supporting +,-,*,/ and truthiness, so it serves both RatFunc and
 plain rational entries.
 """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +26,34 @@ class Report:
         return self.passed
 
 
+class Clock:
+    """The one wall clock behind every report's ms.
+
+    stamp(rep) sets rep.ms to the time since the previous stamp, or since
+    the clock started, so reports stamped in turn share out the whole run.
+    """
+
+    def __init__(self):
+        self._last = time.perf_counter()
+
+    def stamp(self, rep: Report) -> Report:
+        now = time.perf_counter()
+        rep.ms = (now - self._last) * 1000.0
+        self._last = now
+        return rep
+
+
+def timed(check):
+    """Stamp the report a check returns with the time the call took."""
+
+    @functools.wraps(check)
+    def stamped(*args, **kwargs):
+        clock = Clock()
+        return clock.stamp(check(*args, **kwargs))
+
+    return stamped
+
+
 def mismatch_witness(loc, *prefix, **extra) -> dict:
     """Witness of a first_mismatch result.
 
@@ -38,21 +67,17 @@ def mismatch_witness(loc, *prefix, **extra) -> dict:
     return {**extra, "coords": [*prefix, i, j], "lhs": a, "rhs": b}
 
 
-def equality_report(check: str, params: dict, lhs, rhs, t0=None) -> Report:
+def equality_report(check: str, params: dict, lhs, rhs) -> Report:
     """Compare two matrices entry by entry and package the outcome."""
     from .linalg import first_mismatch
 
     loc = first_mismatch(lhs, rhs)
     if loc is None:
-        rep = Report(check, params, True)
-    else:
-        rep = Report(check, params, False, witness=mismatch_witness(loc))
-    if t0 is not None:
-        rep.ms = (time.perf_counter() - t0) * 1000.0
-    return rep
+        return Report(check, params, True)
+    return Report(check, params, False, witness=mismatch_witness(loc))
 
 
-def aggregate_report(check: str, params: dict, subreports, t0=None) -> Report:
+def aggregate_report(check: str, params: dict, subreports) -> Report:
     """Combine named subchecks; fails if any subcheck fails."""
     rep = Report(
         check,
@@ -64,6 +89,4 @@ def aggregate_report(check: str, params: dict, subreports, t0=None) -> Report:
         if not r.passed:
             rep.witness = {"failed": r.check, **(r.witness or {})}
             break
-    if t0 is not None:
-        rep.ms = (time.perf_counter() - t0) * 1000.0
     return rep

@@ -15,7 +15,6 @@ The classical limit pins the normalization: R at s = 1 is the identity.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import WrongWedgeDimensionError
@@ -29,7 +28,7 @@ from .linalg import (
     sparse_kernel,
 )
 from .quasidet import NCSquare
-from .report import Report, equality_report
+from .report import Report, equality_report, timed
 from .scalars import ScalarField, as_rational, q_power
 
 
@@ -65,31 +64,30 @@ def r_hat(r: RMatrix) -> Matrix:
     return flip_perm(r.n, r.field) * r.mat
 
 
+@timed
 def ybe_check(r: RMatrix) -> Report:
     """R12 R13 R23 = R23 R13 R12 on V^(x)3, exactly."""
-    t0 = time.perf_counter()
     n = r.n
     r12 = leg_embed(r.mat, (1, 2), n, 3)
     r13 = leg_embed(r.mat, (1, 3), n, 3)
     r23 = leg_embed(r.mat, (2, 3), n, 3)
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
-    return equality_report("ybe", {"n": n}, lhs, rhs, t0)
+    return equality_report("ybe", {"n": n}, lhs, rhs)
 
 
+@timed
 def hecke_check(rhat: Matrix, field: ScalarField) -> Report:
     """(Rhat - q)(Rhat + 1/q) = 0, with the two eigenspace dimensions."""
-    t0 = time.perf_counter()
     d = rhat.rows
     n = round(d**0.5)
     ident = Matrix.identity(d, field)
     lhs = (rhat - ident.scale(field.q)) * (rhat + ident.scale(field.q_inv))
-    rep = equality_report("hecke", {"dim": d}, lhs, Matrix.zeros(d, d, field), t0)
+    rep = equality_report("hecke", {"dim": d}, lhs, Matrix.zeros(d, d, field))
     sym = len(kernel_basis(rhat - ident.scale(field.q)))
     anti = len(kernel_basis(rhat + ident.scale(field.q_inv)))
     rep.details["eigenspace_dims"] = (sym, anti)
     rep.details["expected_dims"] = (n * (n + 1) // 2, n * (n - 1) // 2)
-    rep.ms = (time.perf_counter() - t0) * 1000.0
     return rep
 
 

@@ -8,8 +8,7 @@ s.  Polynomials are stored dense in ascending degree; the canonical form
 (coprime numerator/denominator, monic denominator) is unique, so equality
 is structural.
 
-Rationals are gmpy2.mpq when available, fractions.Fraction otherwise;
-both expose numerator/denominator and print as "p/q".
+Rationals are fractions.Fraction, which prints as "p/q".
 """
 
 from __future__ import annotations
@@ -23,27 +22,15 @@ from .errors import (
     ZeroInverseError,
 )
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def Q(a, b=1):
-        """Exact rational number, canonical and hashable."""
-        return _mpq(a, b)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def Q(a, b=1):
-        """Exact rational number, canonical and hashable."""
-        return Fraction(a, b)
+Q = Fraction  # exact rational number, canonical and hashable
 
 _Q0 = Q(0)
 _Q1 = Q(1)
 
 
 def as_rational(x):
-    """Coerce int / Fraction / mpq / 'p/q' string to the rational type."""
-    if isinstance(x, str):
-        return Q(Fraction(x))
-    return Q(x)
+    """Coerce int / Fraction / 'p/q' string to a Fraction."""
+    return Fraction(x)
 
 
 def lcm_denominators(values) -> int:
@@ -368,7 +355,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(_Q0):
+        if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
 
@@ -480,7 +467,7 @@ class RatFunc:
                 and self.num == other.num
                 and self.den == other.den
             )
-        if isinstance(other, (int, Fraction)) or type(other) is type(_Q0):
+        if isinstance(other, (int, Fraction)):
             c = as_rational(other)
             if not c:
                 return not self.num

@@ -23,7 +23,6 @@ sides of the coproduct identity on V (x) V (x) V exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -40,10 +39,9 @@ from .linalg import (
     invert_grid,
     kernel_basis_grid,
     leg_embed,
-    rref_rows,
     solve_particular,
 )
-from .report import Report, equality_report
+from .report import Report, equality_report, timed
 from .rmatrix import RMatrix, cartan_exp, standard_r
 from .scalars import Q, ScalarField, as_rational, lcm_denominators
 
@@ -88,13 +86,10 @@ class BDTriple:
             out.append(tuple(run))
         return out
 
-    def is_empty(self):
-        return not self.gamma1
 
-
+@timed
 def validate_triple(t: BDTriple) -> Report:
     """Clause-by-clause structural validation; report-valued."""
-    t0 = time.perf_counter()
     failed = []
     tau = t.tau
     roots = set(range(1, t.n))
@@ -127,7 +122,6 @@ def validate_triple(t: BDTriple) -> Report:
     )
     if failed:
         rep.witness = {"clauses": failed}
-    rep.ms = (time.perf_counter() - t0) * 1000.0
     return rep
 
 
@@ -145,10 +139,7 @@ class CartanData:
     """Exact rational data attached to a valid triple."""
 
     n: int
-    tau_mat: list  # n x n, tau as a linear map on the Cartan algebra
     z_grid: list  # coefficients of Z in the H_i (x) H_j basis
-    h1_basis: list
-    h1_perp_basis: list
     h0_basis: list
 
 
@@ -157,12 +148,6 @@ def _alpha(i: int, n: int):
     v[i - 1] = _Q1
     v[i] = -_Q1
     return v
-
-
-def _echelon_rows(rows, n):
-    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    reduced = rref_rows(work, range(n), _Q1)
-    return [[r.get(j, _Q0) for j in range(n)] for r in reduced.values()]
 
 
 def _rational_inverse(grid):
@@ -181,8 +166,9 @@ def cartan_data(t: BDTriple) -> CartanData:
     if a1:
         gram = [[sum(x * y for x, y in zip(u, v)) for v in a1] for u in a1]
         ginv = _rational_inverse(gram)
-        # tau_mat = B_tau Ginv B^T ; basis-independent, kills h1-perp
-        tau_mat = [
+        # Z = (tau (x) 1) of the h1 Casimir; in H-grid coordinates this is
+        # tau as a linear map, B_tau Ginv B^T: basis-independent, kills h1-perp
+        z_grid = [
             [
                 sum(
                     a1_tau[i][k] * ginv[i][j] * a1[j][l]
@@ -194,24 +180,15 @@ def cartan_data(t: BDTriple) -> CartanData:
             for k in range(n)
         ]
     else:
-        tau_mat = [[_Q0] * n for _ in range(n)]
-    # Z = (tau (x) 1) of the h1 Casimir; in H-grid coordinates this is tau_mat
-    z_grid = [row[:] for row in tau_mat]
+        z_grid = [[_Q0] * n for _ in range(n)]
     h0_rows = [
         [x - y for x, y in zip(_alpha(i, n), _alpha(tau[i], n))] for i in t.gamma1
     ]
-    return CartanData(
-        n=n,
-        tau_mat=tau_mat,
-        z_grid=z_grid,
-        h1_basis=_echelon_rows(a1, n),
-        h1_perp_basis=kernel_basis_grid(a1, n, _Q0, _Q1) if a1 else _std_basis(n),
-        h0_basis=kernel_basis_grid(h0_rows, n, _Q0, _Q1) if h0_rows else _std_basis(n),
-    )
-
-
-def _std_basis(n):
-    return [[_Q1 if j == i else _Q0 for j in range(n)] for i in range(n)]
+    if h0_rows:
+        h0_basis = kernel_basis_grid(h0_rows, n, _Q0, _Q1)
+    else:
+        h0_basis = [[_Q1 if j == i else _Q0 for j in range(n)] for i in range(n)]
+    return CartanData(n=n, z_grid=z_grid, h0_basis=h0_basis)
 
 
 @dataclass
@@ -259,7 +236,6 @@ def solve_theta(t: BDTriple) -> ThetaSolution:
     is guaranteed for valid triples, so inconsistency raises
     NoSolutionError as an internal fault.
     """
-    require_valid(t)
     cd = cartan_data(t)
     n = t.n
     z = cd.z_grid
@@ -388,7 +364,6 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     their own).  beta defaults to zero and must be antisymmetric with
     support in h0 (x) h0.
     """
-    require_valid(t)
     cd = cartan_data(t)
     n = t.n
     if theta is None:
@@ -430,6 +405,7 @@ def untwisted(n: int) -> Twist:
     return build_twist(BDTriple.make(n))
 
 
+@timed
 def cocycle_check(t: BDTriple, theta=None, beta=None) -> Report:
     """Both sides of the twist coproduct identity on V (x) V (x) V.
 
@@ -443,7 +419,6 @@ def cocycle_check(t: BDTriple, theta=None, beta=None) -> Report:
     with Rt = e^{hZ} J'.  The check is pass iff
     (D (x) 1)(J) J12 = (1 (x) D)(J) J23 exactly.
     """
-    t0 = time.perf_counter()
     tw = build_twist(t, theta, beta) if not isinstance(t, Twist) else t
     n = tw.triple.n
     field = tw.field
@@ -482,7 +457,7 @@ def cocycle_check(t: BDTriple, theta=None, beta=None) -> Report:
         "tau": tw.triple.tau_pairs,
         "root_order": field.root_order,
     }
-    return equality_report("cocycle", params, lhs, rhs, t0)
+    return equality_report("cocycle", params, lhs, rhs)
 
 
 def p_vector(tw: Twist):

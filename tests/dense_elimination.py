@@ -2,10 +2,10 @@
 
 qdq.linalg reduces rows stored as {column: value} and picks the pivot row
 with the fewest nonzeros.  This module is the dense routine it replaced,
-with the wrappers that stood on it: the inverse of [A | I], the solve
-with free variables set to zero and the Cartan echelon rows.  The
-reduced echelon form of a row space is unique, so both must agree value
-for value, and on the column a singular matrix is reported at.
+with the wrappers that stood on it: the inverse of [A | I] and the solve
+with free variables set to zero.  The reduced echelon form of a row space
+is unique, so both must agree value for value, and on the column a
+singular matrix is reported at.
 """
 
 from qdq.errors import SingularMatrixError
@@ -81,9 +81,3 @@ def solve_particular(rows, rhs, zero):
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][ncols]
     return x
-
-
-def echelon_rows(rows, n):
-    work = [list(r) for r in rows]
-    rref_rows(work, n)
-    return [r for r in work if any(r)]

@@ -336,6 +336,14 @@ def test_check_has_no_root_order_flag(capsys):
 _ONE = {"num": ["1"], "den": ["1"]}
 _UNIT_BLOCK = {"rows": 1, "cols": 1, "entries": [[_ONE]]}
 
+# each used to print only "error: 'num'", the Fraction message or
+# "error: 'entries'", with neither the file nor the entry
+_BAD_ENTRIES = [
+    ({"size": 2, "entries": [[_ONE, _ONE], [{"den": ["1"]}, _ONE]]}, "(2, 1)"),
+    ({"size": 2, "entries": [[_ONE, {"num": ["x"], "den": ["1"]}], [_ONE, _ONE]]}, "(1, 2)"),
+    ({"size": 1, "inner_dim": 1, "entries": [[_ONE]]}, "(1, 1)"),
+]
+
 
 @pytest.mark.parametrize(
     "payload",
@@ -346,6 +354,7 @@ _UNIT_BLOCK = {"rows": 1, "cols": 1, "entries": [[_ONE]]}
         {"root_order": 1, "size": 1, "entries": [[{"num": ["1"], "den": ["0"]}]]},
         {"root_order": 1, "size": 1, "entries": [[{"num": ["1/0"], "den": ["1"]}]]},
         [[_ONE]],  # a top-level list used to die in an AttributeError
+        *(payload for payload, _ in _BAD_ENTRIES),
     ],
 )
 def test_quasidet_file_validated_before_work(capsys, tmp_path, payload):
@@ -355,7 +364,29 @@ def test_quasidet_file_validated_before_work(capsys, tmp_path, payload):
         capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1"
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload, where", _BAD_ENTRIES)
+def test_quasidet_bad_entry_names_file_and_position(capsys, tmp_path, payload, where):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = invoke(capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1")
+    assert code == 2
+    assert err.startswith(f"error: {path}: entry {where} of the square is malformed: ")
+
+
+@pytest.mark.parametrize("kind", ["ybe", "hecke"])
+@pytest.mark.parametrize("flag", ["--theta", "--beta"])
+def test_empty_triple_checks_read_their_flag_files(capsys, tmp_path, kind, flag):
+    # the empty triple used to take the standard R and never open the files
+    code, out, err = invoke(capsys, "check", kind, "--n", "3", flag, "/nonexistent.json")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([["1/0", "0", "0"], ["0"] * 3, ["0"] * 3]))
+    code, out, err = invoke(capsys, "check", kind, "--n", "3", flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: entry (1, 1) ")
 
 
 @pytest.mark.parametrize(

@@ -325,6 +325,23 @@ def test_factor_and_reference_timers_cover_their_inputs(monkeypatch):
     assert ms["det-sigma-consistency"] >= 50.0
 
 
+def test_subreport_times_add_up_to_the_battery(monkeypatch):
+    # building T is timed by frt, and one clock stamps every subreport
+    # from the end of the one before, so nothing falls between them
+    inner = build_T
+
+    def slow_build_T(tw, k1=1, k2=1):
+        time.sleep(0.05)
+        return inner(tw, k1, k2)
+
+    monkeypatch.setattr("qdq.frt.build_T", slow_build_T)
+    rep = verify_factorization(untwisted(2))
+    assert rep.passed, rep.witness
+    subs = rep.details["checks"]
+    assert next(r.ms for r in subs if r.check == "frt") >= 50.0
+    assert sum(r.ms for r in subs) >= 0.99 * rep.ms
+
+
 def test_verify_factorization_k_powers():
     rep = verify_factorization(untwisted(2), k1=2, k2=1)
     assert rep.passed, rep.witness

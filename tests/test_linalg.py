@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from dense_elimination import echelon_rows as dense_echelon_rows
 from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows as dense_rref_rows
 from dense_elimination import solve_particular as dense_solve_particular
@@ -29,7 +28,7 @@ from qdq.quasidet import NCSquare
 from qdq.report import equality_report
 from qdq.rmatrix import r_hat, wedge_top
 from qdq.scalars import ScalarField
-from qdq.twist import BDTriple, _echelon_rows, build_twist, untwisted
+from qdq.twist import BDTriple, build_twist, untwisted
 
 F = ScalarField(1)
 
@@ -540,22 +539,3 @@ def test_solve_particular_matches_dense_oracle(value, zero, one):
             if any(not any(r) for r in rows):
                 seen.add("zero row")
     assert seen == {"inconsistent", "consistent", "free column", "zero row"}
-
-
-@_FIELDS
-def test_echelon_rows_match_dense_oracle(value, zero, one):
-    rng = random.Random(29)
-    ranks = set()
-    for _ in range(100):
-        nrows, n = rng.randint(0, 5), rng.randint(1, 5)
-        rows = [
-            [_sparse_value(rng, value, zero) for _ in range(n)] for _ in range(nrows)
-        ]
-        if nrows > 1 and rng.randrange(2):
-            rows[0] = [a + b for a, b in zip(rows[0], rows[-1])]
-            rows.append(list(rows[0]))
-        want = dense_echelon_rows(rows, n)
-        got = _echelon_rows(rows, n)
-        assert got == want
-        ranks.add((len(want) == n, len(want) < len(rows)))
-    assert ranks == {(True, True), (True, False), (False, True), (False, False)}

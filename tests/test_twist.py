@@ -6,7 +6,7 @@ import pytest
 from dense_elimination import rref_rows
 
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
-from qdq.linalg import Matrix, TensorIndexing
+from qdq.linalg import Matrix, TensorIndexing, kernel_basis_grid
 from qdq.rmatrix import hecke_check, r_hat, standard_r, wedge_top, ybe_check
 from qdq.scalars import Q
 from qdq.twist import (
@@ -79,16 +79,14 @@ def test_cartan_data_cg():
     z = cd.z_grid
     want = [[0, 0, 0], [H, -H, 0], [-H, H, 0]]
     assert z == [[Q(v) for v in row] for row in want]
-    # h1 = span(H1 - H2), tau maps it to H2 - H3
-    assert cd.h1_basis == [[Q(1), Q(-1), Q(0)]]
-    tv = [
-        sum(cd.tau_mat[k][l] * x for l, x in enumerate([Q(1), Q(-1), Q(0)]))
-        for k in range(3)
-    ]
+    # Z is tau as a linear map: h1 = span(H1 - H2) goes to H2 - H3
+    tv = [sum(z[k][l] * x for l, x in enumerate([Q(1), Q(-1), Q(0)])) for k in range(3)]
     assert tv == [Q(0), Q(1), Q(-1)]
     # tau kills the orthogonal complement of h1
-    for v in cd.h1_perp_basis:
-        img = [sum(cd.tau_mat[k][l] * v[l] for l in range(3)) for k in range(3)]
+    h1_perp = kernel_basis_grid([[Q(1), Q(-1), Q(0)]], 3, Q(0), Q(1))
+    assert len(h1_perp) == 2
+    for v in h1_perp:
+        img = [sum(z[k][l] * v[l] for l in range(3)) for k in range(3)]
         assert all(not x for x in img)
 
 
@@ -110,7 +108,6 @@ def test_cartan_data_empty():
     cd = cartan_data(t)
     assert all(not v for row in cd.z_grid for v in row)
     assert len(cd.h0_basis) == 4
-    assert cd.h1_basis == []
 
 
 def test_recorded_cg_theta_satisfies_conditions():
