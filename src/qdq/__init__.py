@@ -9,6 +9,7 @@ product of commuting corner quasiminors.
 from .errors import (
     BetaNotInH0Error,
     FieldMismatchError,
+    InputError,
     InvalidTripleError,
     NonRepresentableExponentError,
     NoSolutionError,

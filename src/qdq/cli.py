@@ -2,10 +2,11 @@
 
 Subcommands: std-r, solve-theta, quasidet, and check {ybe, hecke,
 cocycle, frt, main}.  Exit codes: 0 every requested check passed, 1 a
-check failed, 2 invalid input, 3 a singularity was hit, 4 an internal
-error (an exception no other code covers, reported on one line).  All
-file I/O is through explicit paths; identical inputs produce identical
-output.
+check failed, 2 invalid input (a usage error, an InputError raised by
+the parsers, the file decoders or the triple and beta validation, or a
+file that cannot be written), 3 a singularity was hit, 4 an internal
+error (any other exception, reported on one line).  All file I/O is
+through explicit paths; identical inputs produce identical output.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import os
 import sys
 
 from .errors import (
-    BetaNotInH0Error,
-    InvalidTripleError,
-    NonRepresentableExponentError,
-    OrderReversingError,
+    InputError,
     SingularMatrixError,
     WrongWedgeDimensionError,
     ZeroInverseError,
@@ -71,7 +69,7 @@ def _parse_roots(text, flag):
             try:
                 roots.append(int(tok))
             except ValueError:
-                raise ValueError(f"{flag}: {tok!r} is not an integer root") from None
+                raise InputError(f"{flag}: {tok!r} is not an integer root") from None
     return tuple(roots)
 
 
@@ -83,7 +81,7 @@ def _parse_tau(text):
                 a, b = (int(tok) for tok in pair.split(">"))
             except ValueError:
                 msg = f"--tau: {pair.strip()!r} is not a pair a>b of integer roots"
-                raise ValueError(msg) from None
+                raise InputError(msg) from None
             tau[a] = b
     return tau
 
@@ -98,10 +96,10 @@ def _parse_sigmas(text, n):
             continue
         sigma = tuple(int(ch) for ch in tok if "1" <= ch <= "9")
         if len(sigma) != len(tok) or sorted(sigma) != list(range(1, n + 1)):
-            raise ValueError(f"--sigma: {tok!r} is not an ordering of 1..{n}")
+            raise InputError(f"--sigma: {tok!r} is not an ordering of 1..{n}")
         out.append(sigma)
     if not out:
-        raise ValueError(f"--sigma: {text!r} names no ordering")
+        raise InputError(f"--sigma: {text!r} names no ordering")
     return out
 
 
@@ -114,19 +112,27 @@ def _triple_from_args(args) -> BDTriple:
     )
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        why = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise InputError(f"{path}: {why}") from None
+
+
 def _load_grid(path, n):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("theta", data.get("beta", data.get("grid")))
     if not isinstance(data, list):
-        raise ValueError(f"{path} holds no grid (expected a list or a theta/beta/grid key)")
+        raise InputError(f"{path} holds no grid (expected a list or a theta/beta/grid key)")
     try:
         grid = grid_from_json(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if len(grid) != n or any(len(r) != n for r in grid):
-        raise ValueError(f"grid in {path} is not {n}x{n}")
+        raise InputError(f"grid in {path} is not {n}x{n}")
     return grid
 
 
@@ -220,12 +226,13 @@ def cmd_solve_theta(args) -> int:
 
 
 def cmd_quasidet(args) -> int:
-    with open(args.file) as fh:
-        data = json.load(fh)
+    data = _read_json(args.file)
     try:
         x = ncsquare_from_json(data)
-    except ValueError as exc:
-        raise ValueError(f"{args.file}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{args.file}: {exc}") from None
+    if not (1 <= args.i <= x.m and 1 <= args.j <= x.m):
+        raise InputError(f"puncture ({args.i},{args.j}) outside 1..{x.m}")
     value = quasideterminant(x, args.i, args.j)
     encode = matrix_to_json if isinstance(value, Matrix) else ratfunc_to_json
     _emit({"root_order": x.field.root_order, "value": encode(value)}, args)
@@ -249,7 +256,7 @@ def cmd_check(args) -> int:
         tw = _twist_from_args(args)
         rep = verify_factorization(tw, args.k1, args.k2, sigmas)
         return _finish_report(rep, args)
-    raise ValueError(f"unknown check {kind!r}")
+    raise InputError(f"unknown check {kind!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,16 +313,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InvalidTripleError,
-        OrderReversingError,
-        BetaNotInH0Error,
-        NonRepresentableExponentError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (InputError, OSError) as exc:  # OSError: writing --out or --json
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (

@@ -5,6 +5,10 @@ class QdqError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(QdqError, ValueError):
+    """Input the caller supplied is malformed or names no valid object."""
+
+
 class FieldMismatchError(QdqError):
     """Operands carry different root orders; caller mixed scalar fields."""
 
@@ -42,15 +46,15 @@ class WrongWedgeDimensionError(QdqError):
         super().__init__(message or f"top wedge space has dimension {dim}, expected 1")
 
 
-class BetaNotInH0Error(QdqError):
+class BetaNotInH0Error(InputError):
     """The antisymmetric Cartan extension is not supported on h0 x h0."""
 
 
-class OrderReversingError(QdqError):
+class OrderReversingError(InputError):
     """The diagram bijection reverses orientation on a connected block."""
 
 
-class InvalidTripleError(QdqError):
+class InvalidTripleError(InputError):
     """The (gamma1, gamma2, tau) datum violates a structural requirement."""
 
 

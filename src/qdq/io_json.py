@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
 from .linalg import Matrix
 from .quasidet import NCSquare
 from .report import Report
@@ -60,33 +61,38 @@ def ncsquare_to_json(x: NCSquare) -> dict:
 def _square_entry(read, e, field, i, j):
     try:
         return read(e, field)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         why = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"entry ({i}, {j}) of the square is malformed: {why}") from None
+        raise InputError(f"entry ({i}, {j}) of the square is malformed: {why}") from None
 
 
 def ncsquare_from_json(obj) -> NCSquare:
     """Decode ncsquare_to_json's format; size and inner_dim must match the grid.
 
-    A malformed entry raises a ValueError naming its 1-based row and column."""
+    Malformed input raises an InputError; a malformed entry is named by
+    its 1-based row and column."""
     grid = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
-        raise ValueError('expected an object whose "entries" is a list of rows')
+        raise InputError('expected an object whose "entries" is a list of rows')
+    if not grid or any(len(r) != len(grid) for r in grid):
+        raise InputError('"entries" must be a nonempty square grid')
+    root_order = obj.get("root_order", 1)
+    if type(root_order) is not int or root_order < 1:
+        raise InputError(f"root_order must be an integer >= 1, got {root_order!r}")
+    field = ScalarField(root_order)
     read = matrix_from_json if "inner_dim" in obj else ratfunc_from_json
-    try:
-        field = ScalarField(int(obj.get("root_order", 1)))
-    except TypeError as exc:
-        raise ValueError(f"malformed square: {exc}") from None
-    x = NCSquare(
-        [
-            [_square_entry(read, e, field, i, j) for j, e in enumerate(row, 1)]
-            for i, row in enumerate(grid, 1)
-        ],
-        field,
-    )
+    entries = [
+        [_square_entry(read, e, field, i, j) for j, e in enumerate(row, 1)]
+        for i, row in enumerate(grid, 1)
+    ]
+    if read is matrix_from_json:
+        d = entries[0][0].rows
+        if any(e.rows != d or e.cols != d for row in entries for e in row):
+            raise InputError("operator entries must share one square size")
+    x = NCSquare(entries, field)
     for key, have in (("size", x.m), ("inner_dim", x.inner)):
         if obj.get(key, have) != have:
-            raise ValueError(f"declared {key} {obj[key]!r} does not match the grid's {have}")
+            raise InputError(f"declared {key} {obj[key]!r} does not match the grid's {have}")
     return x
 
 
@@ -96,11 +102,11 @@ def grid_to_json(grid) -> list:
 
 def grid_from_json(rows) -> list:
     """Decode a grid of "p/q" strings or numbers; an entry that is not a
-    rational raises a ValueError naming its 1-based row and column."""
+    rational raises an InputError naming its 1-based row and column."""
     grid = []
     for i, row in enumerate(rows, 1):
         if not isinstance(row, list):
-            raise ValueError(f"row {i} of the grid is not a list")
+            raise InputError(f"row {i} of the grid is not a list")
         out = []
         for j, v in enumerate(row, 1):
             try:
@@ -108,7 +114,7 @@ def grid_from_json(rows) -> list:
                     raise TypeError
                 out.append(Fraction(v))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise ValueError(
+                raise InputError(
                     f"entry ({i}, {j}) of the grid is not a rational: {v!r}"
                 ) from None
         grid.append(out)

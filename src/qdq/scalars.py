@@ -66,10 +66,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -339,9 +335,6 @@ class RatFunc:
 
     def is_one(self):
         return self.num == _ONE_DEN and self.den == _ONE_DEN
-
-    def is_constant(self):
-        return len(self.num) <= 1 and self.den == _ONE_DEN
 
     # -- ring operations ----------------------------------------------------
 

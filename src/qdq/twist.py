@@ -30,7 +30,6 @@ from .errors import (
     InvalidTripleError,
     NoSolutionError,
     OrderReversingError,
-    SingularMatrixError,
 )
 from .linalg import (
     Matrix,
@@ -150,11 +149,12 @@ def _alpha(i: int, n: int):
     return v
 
 
-def _rational_inverse(grid):
-    try:
-        return invert_grid(grid, _Q0, _Q1)
-    except SingularMatrixError as exc:
-        raise NoSolutionError("Gram matrix is singular") from exc
+def _h0_equations(t: BDTriple):
+    """Rows alpha_i - alpha_tau(i), i in Gamma1: h0 is the kernel of these."""
+    n, tau = t.n, t.tau
+    return [
+        [x - y for x, y in zip(_alpha(i, n), _alpha(tau[i], n))] for i in t.gamma1
+    ]
 
 
 def cartan_data(t: BDTriple) -> CartanData:
@@ -163,31 +163,19 @@ def cartan_data(t: BDTriple) -> CartanData:
     tau = t.tau
     a1 = [_alpha(i, n) for i in t.gamma1]
     a1_tau = [_alpha(tau[i], n) for i in t.gamma1]
-    if a1:
-        gram = [[sum(x * y for x, y in zip(u, v)) for v in a1] for u in a1]
-        ginv = _rational_inverse(gram)
-        # Z = (tau (x) 1) of the h1 Casimir; in H-grid coordinates this is
-        # tau as a linear map, B_tau Ginv B^T: basis-independent, kills h1-perp
-        z_grid = [
-            [
-                sum(
-                    a1_tau[i][k] * ginv[i][j] * a1[j][l]
-                    for i in range(len(a1))
-                    for j in range(len(a1))
-                )
-                for l in range(n)
-            ]
-            for k in range(n)
-        ]
-    else:
-        z_grid = [[_Q0] * n for _ in range(n)]
-    h0_rows = [
-        [x - y for x, y in zip(_alpha(i, n), _alpha(tau[i], n))] for i in t.gamma1
+    # the Gram matrix of simple roots is a principal submatrix of the A-type
+    # Cartan matrix, so it is positive definite and inverts
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in a1] for u in a1]
+    ginv = invert_grid(gram, _Q0, _Q1)
+    # Z = (tau (x) 1) of the h1 Casimir; in H-grid coordinates this is
+    # tau as a linear map, B_tau Ginv B^T: basis-independent, kills h1-perp
+    r = range(len(a1))
+    z_grid = [
+        [sum((a1_tau[i][k] * ginv[i][j] * a1[j][l] for i in r for j in r), _Q0)
+         for l in range(n)]
+        for k in range(n)
     ]
-    if h0_rows:
-        h0_basis = kernel_basis_grid(h0_rows, n, _Q0, _Q1)
-    else:
-        h0_basis = [[_Q1 if j == i else _Q0 for j in range(n)] for i in range(n)]
+    h0_basis = kernel_basis_grid(_h0_equations(t), n, _Q0, _Q1)
     return CartanData(n=n, z_grid=z_grid, h0_basis=h0_basis)
 
 
@@ -203,29 +191,69 @@ def _grid(values, n):
     return [[as_rational(values[i][j]) for j in range(n)] for i in range(n)]
 
 
-def theta_residuals(t: BDTriple, theta) -> list:
-    """Exact residuals of the two moment conditions; empty means solved."""
-    cd = cartan_data(t)
+def _moment_system(t: BDTriple, z):
+    """The moment conditions on Theta, one linear equation at a time.
+
+    Yields (condition, root, index, {position: coefficient}, rhs), the
+    position of theta_ij (1-based i, j) being (i - 1) n + (j - 1): for each
+    a in Gamma1 the row moments j = 1..n, the column moments i = 1..n at
+    tau(a), then the mixed moments k = 1..n.  Two terms of a mixed moment
+    share a position when tau(a) = a +- 1; their coefficients add.
+    """
     n = t.n
-    th = _grid(theta, n)
-    z = cd.z_grid
     tau = t.tau
-    bad = []
+
+    def eq(*cells):
+        # +-1 times theta at each (i, j, sign); equal positions add, zeros drop
+        out = {}
+        for i, j, sign in cells:
+            p = (i - 1) * n + (j - 1)
+            out[p] = out.get(p, 0) + sign
+        return {p: Q(c) for p, c in out.items() if c}
+
     for a in t.gamma1:
         ta = tau[a]
-        for j in range(n):
-            r = (th[a - 1][j] - th[a][j]) - (z[a - 1][j] - z[a][j])
-            if r:
-                bad.append(("row-moment", a, j + 1, r))
-        for i in range(n):
-            r = (th[i][ta - 1] - th[i][ta]) - (z[i][ta - 1] - z[i][ta])
-            if r:
-                bad.append(("col-moment", a, i + 1, r))
-        for k in range(n):
-            r = (th[ta - 1][k] - th[ta][k]) + (th[k][a - 1] - th[k][a])
-            if r:
-                bad.append(("mixed-moment", a, k + 1, r))
+        for j in range(1, n + 1):
+            rhs = z[a - 1][j - 1] - z[a][j - 1]
+            yield "row-moment", a, j, eq((a, j, 1), (a + 1, j, -1)), rhs
+        for i in range(1, n + 1):
+            rhs = z[i - 1][ta - 1] - z[i - 1][ta]
+            yield "col-moment", a, i, eq((i, ta, 1), (i, ta + 1, -1)), rhs
+        for k in range(1, n + 1):
+            mixed = eq((ta, k, 1), (ta + 1, k, -1), (k, a, 1), (k, a + 1, -1))
+            yield "mixed-moment", a, k, mixed, _Q0
+
+
+def _residuals(t: BDTriple, z, theta) -> list:
+    flat = [v for row in theta for v in row]
+    bad = []
+    for cond, a, idx, eq, rhs in _moment_system(t, z):
+        r = sum((c * flat[p] for p, c in eq.items()), _Q0) - rhs
+        if r:
+            bad.append((cond, a, idx, r))
     return bad
+
+
+def _solve_theta(t: BDTriple, z) -> list:
+    n = t.n
+    rows, rhs = [], []
+    for _, _, _, eq, b in _moment_system(t, z):
+        row = [_Q0] * (n * n)
+        for p, c in eq.items():
+            row[p] = c
+        rows.append(row)
+        rhs.append(b)
+    x = solve_particular(rows, rhs, _Q0, _Q1) if rows else [_Q0] * (n * n)
+    if x is None:
+        raise NoSolutionError("moment conditions are inconsistent for a valid triple")
+    theta = [x[i * n : (i + 1) * n] for i in range(n)]
+    assert not _residuals(t, z, theta)
+    return theta
+
+
+def theta_residuals(t: BDTriple, theta) -> list:
+    """Exact residuals of the two moment conditions; empty means solved."""
+    return _residuals(t, cartan_data(t).z_grid, _grid(theta, t.n))
 
 
 def solve_theta(t: BDTriple) -> ThetaSolution:
@@ -236,48 +264,9 @@ def solve_theta(t: BDTriple) -> ThetaSolution:
     is guaranteed for valid triples, so inconsistency raises
     NoSolutionError as an internal fault.
     """
-    cd = cartan_data(t)
-    n = t.n
-    z = cd.z_grid
-    tau = t.tau
-    rows = []
-    rhs = []
-
-    def unk(i, j):
-        # 1-based grid position -> flat index
-        return (i - 1) * n + (j - 1)
-
-    for a in t.gamma1:
-        ta = tau[a]
-        for j in range(1, n + 1):
-            row = [_Q0] * (n * n)
-            row[unk(a, j)] += _Q1
-            row[unk(a + 1, j)] -= _Q1
-            rows.append(row)
-            rhs.append(z[a - 1][j - 1] - z[a][j - 1])
-        for i in range(1, n + 1):
-            row = [_Q0] * (n * n)
-            row[unk(i, ta)] += _Q1
-            row[unk(i, ta + 1)] -= _Q1
-            rows.append(row)
-            rhs.append(z[i - 1][ta - 1] - z[i - 1][ta])
-        for k in range(1, n + 1):
-            row = [_Q0] * (n * n)
-            row[unk(ta, k)] += _Q1
-            row[unk(ta + 1, k)] -= _Q1
-            row[unk(k, a)] += _Q1
-            row[unk(k, a + 1)] -= _Q1
-            rows.append(row)
-            rhs.append(_Q0)
-    if not rows:
-        theta = [[_Q0] * n for _ in range(n)]
-        return ThetaSolution(theta, [r[:] for r in z])
-    x = solve_particular(rows, rhs, _Q0, _Q1)
-    if x is None:
-        raise NoSolutionError("moment conditions are inconsistent for a valid triple")
-    theta = [[x[unk(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
-    assert not theta_residuals(t, theta)
-    y = [[z[i][j] - theta[i][j] for j in range(n)] for i in range(n)]
+    z = cartan_data(t).z_grid
+    theta = _solve_theta(t, z)
+    y = [[zij - tij for zij, tij in zip(zr, tr)] for zr, tr in zip(z, theta)]
     return ThetaSolution(theta, y)
 
 
@@ -290,10 +279,8 @@ class Twist:
     """Assembled twist data in the vector representation."""
 
     triple: BDTriple
-    cartan: CartanData
     theta: list
     beta: list
-    y_grid: list
     a_grid: list  # Cartan exponent of J0, equal to Y + beta
     field: ScalarField
     jprime_vv: Matrix
@@ -306,26 +293,17 @@ class Twist:
         return self.triple.n
 
 
-def _in_span(vec, basis_rows, n):
-    if all(not x for x in vec):
-        return True
-    if not basis_rows:
-        return False
-    rows = [[basis_rows[b][k] for b in range(len(basis_rows))] for k in range(n)]
-    return solve_particular(rows, vec, _Q0, _Q1) is not None
-
-
-def _check_beta(beta, cd: CartanData, n: int):
+def _check_beta(beta, t: BDTriple):
+    n = t.n
     for i in range(n):
         for j in range(n):
             if beta[i][j] + beta[j][i]:
                 raise BetaNotInH0Error("beta must be antisymmetric")
-    for i in range(n):
-        if not _in_span(beta[i], cd.h0_basis, n):
-            raise BetaNotInH0Error(f"row {i + 1} of beta leaves the h0 span")
-        col = [beta[k][i] for k in range(n)]
-        if not _in_span(col, cd.h0_basis, n):
-            raise BetaNotInH0Error(f"column {i + 1} of beta leaves the h0 span")
+    # antisymmetry makes column i the negative of row i, so rows suffice
+    eqs = _h0_equations(t)
+    for i, row in enumerate(beta, 1):
+        if any(sum(e * b for e, b in zip(eq, row)) for eq in eqs):
+            raise BetaNotInH0Error(f"row {i} of beta leaves the h0 span")
 
 
 def jprime_matrix(t: BDTriple, field: ScalarField) -> Matrix:
@@ -364,16 +342,15 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     their own).  beta defaults to zero and must be antisymmetric with
     support in h0 (x) h0.
     """
-    cd = cartan_data(t)
+    z = cartan_data(t).z_grid
     n = t.n
     if theta is None:
-        theta = solve_theta(t).theta
+        theta = _solve_theta(t, z)
     elif isinstance(theta, ThetaSolution):
         theta = theta.theta
     theta = _grid(theta, n)
     beta = _grid(beta, n) if beta is not None else [[_Q0] * n for _ in range(n)]
-    _check_beta(beta, cd, n)
-    z = cd.z_grid
+    _check_beta(beta, t)
     y = [[z[i][j] - theta[i][j] for j in range(n)] for i in range(n)]
     a_grid = [[y[i][j] + beta[i][j] for j in range(n)] for i in range(n)]
     # one root order for the whole session: every exponent grid must embed
@@ -387,10 +364,8 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     rj_mat = p * gauss_invert(j_vv) * p * std.mat * j_vv
     return Twist(
         triple=t,
-        cartan=cd,
         theta=theta,
         beta=beta,
-        y_grid=y,
         a_grid=a_grid,
         field=field,
         jprime_vv=jp,

@@ -81,6 +81,20 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc", [ValueError("deep value"), KeyError("deep key")])
+def test_library_value_and_key_errors_are_internal(capsys, monkeypatch, exc):
+    # only the boundary's InputError means invalid input (exit 2)
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("qdq.frt.frt_check", broken)
+    code, out, err = invoke(capsys, "check", "main", "--n", "2")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_check_main_json_format(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = invoke(
@@ -355,6 +369,7 @@ _BAD_ENTRIES = [
         {"root_order": 1, "size": 1, "entries": [[{"num": ["1/0"], "den": ["1"]}]]},
         [[_ONE]],  # a top-level list used to die in an AttributeError
         *(payload for payload, _ in _BAD_ENTRIES),
+        {"entries": [[{"num": [float("inf")], "den": ["1"]}]]},  # used to exit 4
     ],
 )
 def test_quasidet_file_validated_before_work(capsys, tmp_path, payload):
@@ -374,6 +389,65 @@ def test_quasidet_bad_entry_names_file_and_position(capsys, tmp_path, payload, w
     code, _, err = invoke(capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1")
     assert code == 2
     assert err.startswith(f"error: {path}: entry {where} of the square is malformed: ")
+
+
+@pytest.mark.parametrize("value", [1.5, True, "x", None, 0])
+def test_quasidet_root_order_must_be_a_positive_integer(capsys, tmp_path, value):
+    # 1.5 and true used to run as root order 1 and exit 0
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"root_order": value, "entries": [[_ONE]]}))
+    code, out, err = invoke(capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: root_order must be an integer >= 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_unreadable_input_file_named(capsys, tmp_path, content):
+    # the decoder's message used to come without the file's name
+    path = tmp_path / "x.json"
+    path.write_bytes(content)
+    for argv in (
+        ["quasidet", "--file", str(path), "--i", "1", "--j", "1"],
+        ["check", "ybe", "--n", "2", "--theta", str(path)],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+_BLOCK_2 = {"rows": 2, "cols": 2, "entries": [[_ONE, _ONE], [_ONE, _ONE]]}
+_SQUARE_2 = {"entries": [[_ONE, _ONE], [_ONE, _ONE]]}
+
+
+@pytest.mark.parametrize(
+    "payload, puncture, library, says",
+    [
+        ({"entries": [[_ONE, _ONE], [_ONE]]}, "11", "qdq.io_json.NCSquare", "square grid"),
+        (
+            {"inner_dim": 1, "entries": [[_UNIT_BLOCK, _BLOCK_2], [_UNIT_BLOCK] * 2]},
+            "11",
+            "qdq.io_json.NCSquare",
+            "operator entries must share one square size",
+        ),
+        (_SQUARE_2, "01", "qdq.cli.quasideterminant", "puncture (0,1) outside 1..2"),
+        (_SQUARE_2, "13", "qdq.cli.quasideterminant", "puncture (1,3) outside 1..2"),
+    ],
+    ids=["non-square", "mixed-blocks", "i-0", "j-3"],
+)
+def test_quasidet_input_refused_before_the_library(
+    capsys, monkeypatch, tmp_path, payload, puncture, library, says
+):
+    # each used to reach the library, whose ValueError now means exit 4
+    def no_work(*args, **kwargs):
+        raise AssertionError("the library was called on invalid input")
+
+    monkeypatch.setattr(library, no_work)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    i, j = puncture
+    code, out, err = invoke(capsys, "quasidet", "--file", str(path), "--i", i, "--j", j)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and says in err
 
 
 @pytest.mark.parametrize("kind", ["ybe", "hecke"])

@@ -1,12 +1,15 @@
 """Diagram data validation, the Theta solver, and twist assembly."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from dense_elimination import rref_rows
 
+import qdq.twist
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
-from qdq.linalg import Matrix, TensorIndexing, kernel_basis_grid
+from qdq.linalg import Matrix, TensorIndexing, kernel_basis_grid, solve_particular
 from qdq.rmatrix import hecke_check, r_hat, standard_r, wedge_top, ybe_check
 from qdq.scalars import Q
 from qdq.twist import (
@@ -295,3 +298,126 @@ def test_theta_solution_object_accepted():
     tw = build_twist(CG, sol)
     assert cocycle_check(CG, sol.theta).passed
     assert tw.field.root_order == 2
+
+
+def oracle_residuals(t, theta):
+    """The moment conditions written out by hand, one formula per condition."""
+    n = t.n
+    th = [[Q(theta[i][j]) for j in range(n)] for i in range(n)]
+    z = cartan_data(t).z_grid
+    tau = t.tau
+    bad = []
+    for a in t.gamma1:
+        ta = tau[a]
+        for j in range(n):
+            r = (th[a - 1][j] - th[a][j]) - (z[a - 1][j] - z[a][j])
+            if r:
+                bad.append(("row-moment", a, j + 1, r))
+        for i in range(n):
+            r = (th[i][ta - 1] - th[i][ta]) - (z[i][ta - 1] - z[i][ta])
+            if r:
+                bad.append(("col-moment", a, i + 1, r))
+        for k in range(n):
+            r = (th[ta - 1][k] - th[ta][k]) + (th[k][a - 1] - th[k][a])
+            if r:
+                bad.append(("mixed-moment", a, k + 1, r))
+    return bad
+
+
+TRIPLES_UP_TO_5 = [t for n in range(1, 6) for t in enumerate_triples(n)]
+
+
+def test_residuals_match_the_hand_written_conditions():
+    rng = random.Random(11)
+    nonempty = 0
+    for t in TRIPLES_UP_TO_5:
+        n = t.n
+        theta = solve_theta(t).theta
+        assert theta_residuals(t, theta) == oracle_residuals(t, theta) == []
+        for _ in range(30):
+            bad = [row[:] for row in theta]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                bad[i][j] += Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            got = theta_residuals(t, bad)
+            assert got == oracle_residuals(t, bad), (t, bad)
+            nonempty += bool(got)
+    # tau(a) = a +- 1 puts two terms of a mixed moment on one position
+    assert any(abs(a - b) == 1 for t in TRIPLES_UP_TO_5 for a, b in t.tau_pairs)
+    assert nonempty > 500
+
+
+def oracle_in_span(vec, basis_rows, n):
+    if all(not x for x in vec):
+        return True
+    if not basis_rows:
+        return False
+    rows = [[basis_rows[b][k] for b in range(len(basis_rows))] for k in range(n)]
+    return solve_particular(rows, vec, Q(0), Q(1)) is not None
+
+
+def oracle_check_beta(beta, t):
+    """beta's antisymmetry, then each row and column in the span of h0."""
+    n = t.n
+    basis = cartan_data(t).h0_basis
+    for i in range(n):
+        for j in range(n):
+            if beta[i][j] + beta[j][i]:
+                return "beta must be antisymmetric"
+    for i in range(n):
+        if not oracle_in_span(beta[i], basis, n):
+            return f"row {i + 1} of beta leaves the h0 span"
+        if not oracle_in_span([beta[k][i] for k in range(n)], basis, n):
+            return f"column {i + 1} of beta leaves the h0 span"
+    return None
+
+
+def test_beta_check_matches_the_span_oracle():
+    rng = random.Random(5)
+    verdicts = Counter()
+    for t in TRIPLES_UP_TO_5:
+        n = t.n
+        basis = cartan_data(t).h0_basis
+        for k in range(30):
+            beta = [[Q(0)] * n for _ in range(n)]
+            if k % 3 == 0 and len(basis) >= 2:
+                u, v = rng.sample(basis, 2)
+                c = rng.randint(-2, 2)
+                beta = [[c * (u[i] * v[j] - v[i] * u[j]) for j in range(n)] for i in range(n)]
+            else:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < 0.4:
+                            x = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                            beta[i][j], beta[j][i] = x, -x
+            if k % 10 == 9 and n > 1:
+                beta[0][1] += 1  # no longer antisymmetric
+            want = oracle_check_beta(beta, t)
+            try:
+                qdq.twist._check_beta(beta, t)
+                got = None
+            except BetaNotInH0Error as exc:
+                got = str(exc)
+            assert got == want, (t, beta)
+            verdicts[want is None, want or ""] += 1
+    assert verdicts[True, ""] > 50
+    assert verdicts[False, "beta must be antisymmetric"] > 20
+    assert sum(v for (ok, msg), v in verdicts.items() if msg.startswith("row")) > 200
+
+
+def test_build_twist_validates_and_derives_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(qdq.twist, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(qdq.twist, name, wrapper)
+
+    counted("validate_triple")
+    counted("cartan_data")
+    build_twist(GL4)
+    assert calls == {"validate_triple": 1, "cartan_data": 1}
