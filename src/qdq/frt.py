@@ -5,8 +5,8 @@ The generating matrix T is realized with operator entries
     T_ij = sum_k (L+)_ik (x) (L-)_kj  in  End(W1 (x) W2),
 
 W1 = V^(x)k1, W2 = V^(x)k2, with L+/- built from the twisted braiding.
-Equivalently, flatten(T) is the product of L+ and L- embedded along the
-matrix leg; both routes are computed and compared in the tests.
+build_T computes flatten(T) as the product of L+ and L- embedded along
+the matrix leg; the tests compare it with the block sums above.
 
 The verifier checks, all by exact matrix identities:
 
@@ -70,39 +70,16 @@ class FRTModel:
 
 
 def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
+    """T as the product of L+ and L- embedded along the shared matrix leg."""
     if k1 < 1 or k2 < 1:
         raise ValueError("tensor powers k1, k2 must be at least 1")
-    lp = l_plus(tw.r_j, k1)
-    lm = l_minus(tw.r_j, k2)
-    n = tw.n
-    blocks = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                a, b = lp.entries[i][k], lm.entries[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                term = kron(a, b)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                d = n ** (k1 + k2)
-                acc = Matrix.zeros(d, d, tw.field)
-            row.append(acc)
-        blocks.append(row)
-    return FRTModel(tw, k1, k2, NCSquare(blocks, tw.field))
-
-
-def flat_T_via_leg_product(tw: Twist, k1: int, k2: int) -> Matrix:
-    """Independent route: L+ and L- embedded along the shared matrix leg."""
     n = tw.n
     ktot = 1 + k1 + k2
-    lp_flat = l_plus(tw.r_j, k1).flatten()
-    lm_flat = l_minus(tw.r_j, k2).flatten()
-    lp_full = leg_embed(lp_flat, (1,) + tuple(range(2, k1 + 2)), n, ktot)
-    lm_full = leg_embed(lm_flat, (1,) + tuple(range(k1 + 2, ktot + 1)), n, ktot)
-    return lp_full * lm_full
+    lp = leg_embed(l_plus(tw.r_j, k1).flatten(), (1,) + tuple(range(2, k1 + 2)), n, ktot)
+    lm = leg_embed(
+        l_minus(tw.r_j, k2).flatten(), (1,) + tuple(range(k1 + 2, ktot + 1)), n, ktot
+    )
+    return FRTModel(tw, k1, k2, NCSquare.from_flat(lp * lm, n))
 
 
 @timed

@@ -41,11 +41,18 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
+def _json_int(obj, key) -> int:
+    value = obj[key]
+    if type(value) is not int:  # bool and float are refused too
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj, field: ScalarField) -> Matrix:
     entries = [
         [ratfunc_from_json(e, field) for e in row] for row in obj["entries"]
     ]
-    return Matrix(obj["rows"], obj["cols"], entries, field)
+    return Matrix(_json_int(obj, "rows"), _json_int(obj, "cols"), entries, field)
 
 
 def ncsquare_to_json(x: NCSquare) -> dict:
@@ -67,7 +74,8 @@ def _square_entry(read, e, field, i, j):
 
 
 def ncsquare_from_json(obj) -> NCSquare:
-    """Decode ncsquare_to_json's format; size and inner_dim must match the grid.
+    """Decode ncsquare_to_json's format; size, inner_dim and each operator
+    entry's rows and cols must be integers that match the grid.
 
     Malformed input raises an InputError; a malformed entry is named by
     its 1-based row and column."""
@@ -91,7 +99,7 @@ def ncsquare_from_json(obj) -> NCSquare:
             raise InputError("operator entries must share one square size")
     x = NCSquare(entries, field)
     for key, have in (("size", x.m), ("inner_dim", x.inner)):
-        if obj.get(key, have) != have:
+        if key in obj and _json_int(obj, key) != have:
             raise InputError(f"declared {key} {obj[key]!r} does not match the grid's {have}")
     return x
 

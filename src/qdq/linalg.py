@@ -12,11 +12,10 @@ pure index bookkeeping.
 
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
-along.  Inversion (the RREF of [A | I]) and linear solves are thin
-wrappers over it, and sparse_kernel runs it once per connected component
-for every kernel.  It works over any exact field
-elements supporting +,-,*,/ and truthiness, so it serves both RatFunc and
-plain rational entries.
+along.  Inversion (the RREF of [A | I]), linear solves and every kernel
+(sparse_kernel) are thin wrappers over one call of it.  It works over any
+exact field elements supporting +,-,*,/ and truthiness, so it serves both
+RatFunc and plain rational entries.
 """
 
 from __future__ import annotations
@@ -344,39 +343,57 @@ def rref_rows(rows, cols, one):
     sought in the ascending columns cols only, so they are those of the
     first-nonzero dense elimination; every other column a row holds (the
     identity block of [A | I], say) is carried along by the row
-    operations.  The pivot row is the one with the fewest nonzeros among
-    the rows left that reach the column (Markowitz), which keeps fill-in
-    small.  The reduced echelon form of a row space is unique, so the
-    pivot rule cannot change the result.
+    operations.  An index from each column of cols to the rows that hold
+    it lets each pivot visit only those rows; an id goes stale when
+    cancellation removes its entry, and is dropped when its column is
+    reached.  The pivot row is the one with the fewest nonzeros, then the
+    lowest id, among the rows not yet pivots (Markowitz), which keeps
+    fill-in small.  Every other row that holds the column, earlier pivot
+    rows included, is reduced by it, so the form stays reduced.  The
+    reduced echelon form of a row space is unique, so the pivot rule
+    cannot change the result.
     """
-    active = rows
+    index = {c: [] for c in cols}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in index:
+                index[j].append(i)
+    pivot_rows = set()
     reduced = {}
     for col in cols:
-        hits = [i for i, r in enumerate(active) if col in r]
-        if not hits:
+        hits = {i for i in index.pop(col) if col in rows[i]}
+        candidates = [i for i in hits if i not in pivot_rows]
+        if not candidates:
             continue
-        p = min(hits, key=lambda i: len(active[i]))
-        prow = active[p]
-        targets = [active[i] for i in hits if i != p]
-        targets += [r for r in reduced.values() if col in r]
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
         # the pivot entry becomes 1 and col leaves every other row with no
         # arithmetic; a row with no other entry needs none at all
         lead = prow.pop(col)
         if prow and lead != one:
             inv = one / lead
-            prow = {j: x * inv for j, x in prow.items()}
-        for ri in targets:
+            for j, x in prow.items():
+                prow[j] = x * inv
+        hits.discard(p)
+        for i in hits:
+            ri = rows[i]
             f = ri.pop(col)
             for j, x in prow.items():
                 y = ri.get(j)
-                y = -(f * x) if y is None else y - f * x
+                if y is None:
+                    ri[j] = -(f * x)
+                    ids = index.get(j)
+                    if ids is not None:  # a column still to be reached
+                        ids.append(i)
+                    continue
+                y = y - f * x
                 if y:
                     ri[j] = y
                 else:
                     del ri[j]
         prow[col] = one
+        pivot_rows.add(p)
         reduced[col] = prow
-        active = [r for i, r in enumerate(active) if i != p and r]
     return reduced
 
 
@@ -430,50 +447,24 @@ def sparse_kernel(rows, ncols, zero, one):
 
     The conventions are kernel_basis's: one dense vector per free column of
     the reduced echelon form, in ascending column order, normalized so its
-    first nonzero coordinate is 1.  The columns are union-found into the
-    connected components of the row/column graph and each component is
-    reduced on its own.  The reduced echelon form of a row space is unique,
-    so neither the split nor the choice of pivot rows can change the basis.
-    The input rows are not modified.
+    first nonzero coordinate is 1.  Every column a reduced row holds besides
+    its pivot is free, so one pass over the reduced rows reads all the free
+    columns' coordinates.  The input rows are not modified.
     """
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    rows = [row for row in rows if row]
-    for row in rows:
-        cols = iter(row)
-        a = find(next(cols))
-        for c in cols:
-            b = find(c)
-            if b != a:
-                parent[b] = a
-    comp_cols, comp_rows = {}, {}
-    for c in range(ncols):
-        comp_cols.setdefault(find(c), []).append(c)
-    for row in rows:
-        comp_rows.setdefault(find(next(iter(row))), []).append(dict(row))
-    free = []  # (free column, {column: coordinate}) before normalization
-    for root, cols in comp_cols.items():
-        reduced = rref_rows(comp_rows.get(root, []), cols, one)
-        for f in cols:
-            if f not in reduced:
-                coords = {pc: -r[f] for pc, r in reduced.items() if f in r}
-                coords[f] = one
-                free.append((f, coords))
-    free.sort(key=lambda item: item[0])
+    reduced = rref_rows([dict(row) for row in rows], range(ncols), one)
+    coords = {f: {f: one} for f in range(ncols) if f not in reduced}
+    for pc, row in reduced.items():
+        for f, x in row.items():
+            if f != pc:
+                coords[f][pc] = -x
     basis = []
-    for _, coords in free:
-        lead = coords[min(coords)]
+    for c in coords.values():
+        lead = c[min(c)]
         if lead != one:
             inv = one / lead
-            coords = {c: x * inv for c, x in coords.items()}
+            c = {j: x * inv for j, x in c.items()}
         v = [zero] * ncols
-        for c, x in coords.items():
-            v[c] = x
+        for j, x in c.items():
+            v[j] = x
         basis.append(v)
     return basis

@@ -401,6 +401,38 @@ def test_quasidet_root_order_must_be_a_positive_integer(capsys, tmp_path, value)
     assert err == f"error: {path}: root_order must be an integer >= 1, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "payload, says",
+    [
+        ({"size": True, "entries": [[_ONE]]}, "size must be an integer, got True"),
+        (
+            {"size": 2.0, "entries": [[_ONE, _ONE], [_ONE, _ONE]]},
+            "size must be an integer, got 2.0",
+        ),
+        (
+            {"inner_dim": True, "entries": [[_UNIT_BLOCK]]},
+            "inner_dim must be an integer, got True",
+        ),
+        (
+            {"inner_dim": 1, "entries": [[{**_UNIT_BLOCK, "rows": True, "cols": True}]]},
+            "entry (1, 1) of the square is malformed: rows must be an integer, got True",
+        ),
+        (
+            {"inner_dim": 1, "entries": [[{**_UNIT_BLOCK, "rows": 1.0}]]},
+            "entry (1, 1) of the square is malformed: rows must be an integer, got 1.0",
+        ),
+    ],
+    ids=["size-true", "size-float", "inner-dim-true", "rows-cols-true", "rows-float"],
+)
+def test_quasidet_shape_keys_must_be_integers(capsys, tmp_path, payload, says):
+    # the first four used to exit 0; rows 1.0 died in Matrix.zeros and exited 4
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, "quasidet", "--file", str(path), "--i", "1", "--j", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {says}\n"
+
+
 @pytest.mark.parametrize("content", [b"{", b"\xff\xfe"], ids=["not-json", "not-utf8"])
 def test_unreadable_input_file_named(capsys, tmp_path, content):
     # the decoder's message used to come without the file's name

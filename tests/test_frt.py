@@ -14,14 +14,13 @@ from qdq.frt import (
     detsigma_factors,
     f_of_D_image,
     factors_commute,
-    flat_T_via_leg_product,
     frt_check,
     perturbed,
     qdet_coaction,
     verify_factorization,
 )
 from qdq.quasidet import NCSquare, all_sigmas, quasideterminant
-from qdq.rmatrix import r_hat, wedge_coefficients, wedge_top
+from qdq.rmatrix import l_minus, l_plus, r_hat, wedge_coefficients, wedge_top
 from qdq.scalars import ScalarField
 from qdq.twist import BDTriple, build_twist, cartan_data, untwisted
 
@@ -47,15 +46,40 @@ def test_build_T_untwisted_n2_blocks():
     assert m.entry(1, 2) == want12
 
 
+def kron_T_blocks(tw, k1, k2):
+    """Oracle: T_ij = sum_k (L+)_ik (x) (L-)_kj as a sum of Kronecker
+    products, the block route that build_T replaced."""
+    lp = l_plus(tw.r_j, k1)
+    lm = l_minus(tw.r_j, k2)
+    n = tw.n
+    blocks = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                a, b = lp.entries[i][k], lm.entries[k][j]
+                if a.is_zero() or b.is_zero():
+                    continue
+                term = kron(a, b)
+                acc = term if acc is None else acc + term
+            if acc is None:
+                d = n ** (k1 + k2)
+                acc = Matrix.zeros(d, d, tw.field)
+            row.append(acc)
+        blocks.append(row)
+    return NCSquare(blocks, tw.field)
+
+
 def test_build_T_two_routes_agree():
-    for tw, k1, k2 in (
-        (untwisted(2), 1, 1),
-        (untwisted(2), 2, 1),
-        (untwisted(3), 1, 1),
-        (build_twist(CG, CG_THETA), 1, 1),
+    for tw in (
+        untwisted(2),
+        untwisted(3),
+        build_twist(CG, CG_THETA),
+        build_twist(BDTriple.make(4, [1], [3], {1: 3})),
     ):
-        m = build_T(tw, k1, k2)
-        assert m.t_blocks.flatten() == flat_T_via_leg_product(tw, k1, k2)
+        for k1, k2 in ((1, 1), (2, 1), (1, 2)):
+            assert build_T(tw, k1, k2).t_blocks == kron_T_blocks(tw, k1, k2)
 
 
 def test_T_classical_limit_identity():

@@ -15,7 +15,7 @@ from qdq.io_json import (
     ratfunc_to_json,
     report_to_json,
 )
-from qdq.linalg import Matrix, gauss_invert
+from qdq.linalg import Matrix, gauss_invert, kernel_basis
 from qdq.quasidet import NCSquare
 from qdq.report import Report
 from qdq.rmatrix import r_hat, standard_r, wedge_top, ybe_check
@@ -110,4 +110,27 @@ def test_elimination_outputs_golden_digest():
     assert (
         hashlib.sha256(blob).hexdigest()
         == "603872c3f9e79262d1853487a4808509676d994f011cdb36c6dd50f6a6e22212"
+    )
+
+
+def test_kernel_outputs_golden_digest():
+    # The Hecke eigenspace bases of every triple for n = 2..4, then the
+    # two-root gl5 wedge vector; the digest was recorded from the
+    # elimination that split the kernel into connected components.
+    payload = []
+    for n in range(2, 5):
+        for t in enumerate_triples(n):
+            tw = build_twist(t)
+            rhat = r_hat(tw.r_j)
+            ident = Matrix.identity(n * n, tw.field)
+            for shift in (-tw.field.q, tw.field.q_inv):
+                basis = kernel_basis(rhat + ident.scale(shift))
+                payload.append([[ratfunc_to_json(c) for c in v] for v in basis])
+    assert len(payload) == 2 * sum(len(enumerate_triples(n)) for n in range(2, 5))
+    tw = build_twist(BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4}))
+    payload.append([ratfunc_to_json(c) for c in wedge_top(r_hat(tw.r_j), 5)])
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "bd3e385f940504f7fab960f377852040b9550ece582cef1c338a490985d2dc89"
     )

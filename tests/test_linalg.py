@@ -539,3 +539,117 @@ def test_solve_particular_matches_dense_oracle(value, zero, one):
             if any(not any(r) for r in rows):
                 seen.add("zero row")
     assert seen == {"inconsistent", "consistent", "free column", "zero row"}
+
+
+# ---------------------------------------------------------------------------
+# Larger systems: 40-80 columns in 8-12 components, mostly +-1 entries, so
+# cancellation often removes a column from a row that fill-in later restores
+# ---------------------------------------------------------------------------
+
+def _unit_entry(rng, value, one):
+    return value(rng) if rng.randrange(5) == 0 else rng.choice([one, -one])
+
+
+def _groups(rng, size, groups):
+    """A random group for each of size positions, every group used."""
+    group = list(range(groups)) + [rng.randrange(groups) for _ in range(size - groups)]
+    rng.shuffle(group)
+    return group
+
+
+def _component_rows(rng, value, one, nrows, ncols):
+    """nrows sparse rows over ncols columns split into 8-12 groups; each row
+    lies inside one group and every group holds a row, so no row crosses
+    the components and there are at least 8 of them."""
+    groups = rng.randint(8, 12)
+    members = {}
+    for c, g in enumerate(_groups(rng, ncols, groups)):
+        members.setdefault(g, []).append(c)
+    rows = []
+    for g in _groups(rng, nrows, groups):
+        cols = members[g]
+        pick = rng.sample(cols, min(len(cols), rng.randint(2, 4)))
+        rows.append({c: _unit_entry(rng, value, one) for c in sorted(pick)})
+    return rows
+
+
+def _component_square(rng, value, zero, one, n):
+    """A block-diagonal n x n grid under random row and column permutations,
+    with 8-12 blocks.  Each block is unit triangular in a random order of
+    its rows and columns, with sparse off-diagonal entries, so invertible;
+    one in three is then made singular."""
+    rgroup = _groups(rng, n, rng.randint(8, 12))
+    cgroup = list(rgroup)
+    rng.shuffle(cgroup)
+    cols = {}
+    for c, g in enumerate(cgroup):
+        cols.setdefault(g, []).append(c)
+    rows = [[zero] * n for _ in range(n)]
+    seen = {}
+    for r, g in enumerate(rgroup):
+        k = seen[g] = seen.get(g, -1) + 1
+        rows[r][cols[g][k]] = rng.choice([one, -one])
+        for c in cols[g][k + 1 :]:
+            if rng.randrange(3) == 0:
+                rows[r][c] = _unit_entry(rng, value, one)
+    kind = rng.randrange(3)
+    if kind == 1:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = zero
+    elif kind == 2:
+        a = rng.randrange(n)
+        b = rng.choice([r for r in range(n) if rgroup[r] == rgroup[a] and r != a] or [a])
+        rows[a] = [-x for x in rows[b]]
+    return rows
+
+
+@_FIELDS
+def test_large_sparse_kernel_matches_dense_oracle(value, zero, one):
+    rng = random.Random(41)
+    dims = []
+    for _ in range(12):
+        ncols = rng.randint(40, 80)
+        rows = _component_rows(rng, value, one, rng.randint(ncols // 2, ncols), ncols)
+        before = [dict(r) for r in rows]
+        dense = [[r.get(c, zero) for c in range(ncols)] for r in rows]
+        want = dense_kernel(dense, ncols, zero, one)
+        assert sparse_kernel(rows, ncols, zero, one) == want
+        assert rows == before
+        dims.append(len(want))
+    assert min(dims) >= 2 and len(set(dims)) >= 4
+
+
+@_FIELDS
+def test_large_invert_grid_matches_dense_oracle(value, zero, one):
+    rng = random.Random(43)
+    messages = set()
+    inverted = 0
+    for _ in range(20):
+        rows = _component_square(rng, value, zero, one, rng.randint(40, 80))
+        want = _inverse_or_message(dense_invert_grid, rows, zero, one)
+        assert _inverse_or_message(invert_grid, rows, zero, one) == want
+        if isinstance(want, str):
+            messages.add(want)
+        else:
+            inverted += 1
+    assert inverted >= 4 and len(messages) >= 3
+
+
+@_FIELDS
+def test_large_solve_particular_matches_dense_oracle(value, zero, one):
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(12):
+        ncols = rng.randint(40, 80)
+        sparse = _component_rows(rng, value, one, rng.randint(ncols // 2, ncols), ncols)
+        rows = [[r.get(c, zero) for c in range(ncols)] for r in sparse]
+        if rng.randrange(2):
+            x0 = [_unit_entry(rng, value, one) if rng.randrange(2) else zero for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(r, x0) if a and b), zero) for r in rows]
+        else:
+            rhs = [_unit_entry(rng, value, one) if rng.randrange(3) else zero for _ in rows]
+        want = dense_solve_particular([list(r) for r in rows], list(rhs), zero)
+        assert solve_particular(rows, rhs, zero, one) == want
+        seen.add("inconsistent" if want is None else "consistent")
+    assert seen == {"inconsistent", "consistent"}

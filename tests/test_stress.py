@@ -2,7 +2,8 @@
 
 import pytest
 
-from qdq.frt import build_T, qdet_coaction
+from qdq.frt import build_T, qdet_coaction, verify_factorization
+from qdq.quasidet import all_sigmas
 from qdq.twist import BDTriple, build_twist
 
 from test_frt import coaction_defects, wedge_of
@@ -16,3 +17,15 @@ def test_gl5_coaction_on_every_row():
     m = build_T(tw)
     coeffs = wedge_of(m)
     assert coaction_defects(m, coeffs, qdet_coaction(m)) == []
+
+
+@pytest.mark.slow
+def test_gl6_two_root_battery():
+    # the largest case settled: its wedge is one kernel over 6^6 coordinates
+    tw = build_twist(BDTriple.make(6, [1, 2], [3, 4], {1: 3, 2: 4}))
+    rep = verify_factorization(tw, sigmas=all_sigmas(6)[:8])
+    subs = rep.details["checks"]
+    assert rep.passed and rep.params["sigmas"] == 8
+    assert len(subs) > 1 and all(sub.passed for sub in subs), [
+        sub.check for sub in subs if not sub.passed
+    ]
