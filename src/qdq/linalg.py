@@ -12,10 +12,10 @@ pure index bookkeeping.
 
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
-along.  Inversion (the RREF of [A | I]), linear solves and every kernel
-(sparse_kernel) are thin wrappers over one call of it.  It works over any
-exact field elements supporting +,-,*,/ and truthiness, so it serves both
-RatFunc and plain rational entries.
+along.  Inversion (the RREF of [A | I]), linear solves, every kernel
+(sparse_kernel) and each quasideterminant (qdq.quasidet) are one call of
+it.  It works over any exact field elements supporting +,-,*,/ and
+truthiness, so it serves both RatFunc and plain rational entries.
 """
 
 from __future__ import annotations
@@ -449,9 +449,9 @@ def sparse_kernel(rows, ncols, zero, one):
     the reduced echelon form, in ascending column order, normalized so its
     first nonzero coordinate is 1.  Every column a reduced row holds besides
     its pivot is free, so one pass over the reduced rows reads all the free
-    columns' coordinates.  The input rows are not modified.
+    columns' coordinates.  The input rows are reduced in place.
     """
-    reduced = rref_rows([dict(row) for row in rows], range(ncols), one)
+    reduced = rref_rows(rows, range(ncols), one)
     coords = {f: {f: one} for f in range(ncols) if f not in reduced}
     for pc, row in reduced.items():
         for f, x in row.items():

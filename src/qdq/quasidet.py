@@ -15,8 +15,8 @@ quasiminors recovers the determinant in the commutative case:
 
 Entries are either scalars (RatFunc) or operators (Matrix).  A square of
 operator entries flattens to one Matrix over Q(s), a ring isomorphism:
-T, L+ and L- are such squares, and submatrix inversion goes through the
-flattening.  A square of scalar entries flattens to its own grid.
+T, L+ and L- are such squares, and a quasideterminant is one solve through
+the flattening.  A square of scalar entries flattens to its own grid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import SingularMatrixError, SubmatrixSingularError
-from .linalg import Matrix, gauss_invert
+from .linalg import Matrix, rref_rows
 from .scalars import ScalarField
 
 
@@ -32,8 +32,9 @@ class NCSquare:
     """Square matrix over the scalar or operator entry ring; 1-based labels.
 
     Entries of both rings support `not e` (zero test), e.inv() and *, so
-    the quasideterminant code below is written once; zero and one hold
-    the ring's neutral elements.
+    the code below is written once; zero and one hold the ring's neutral
+    elements.  Every other ring operation, the quasideterminant's one solve
+    included, goes through the flattening.
     """
 
     __slots__ = ("m", "entries", "field", "inner", "zero", "one")
@@ -99,45 +100,20 @@ class NCSquare:
 
     # -- derived views ---------------------------------------------------------
 
-    def minor(self, i: int, j: int) -> NCSquare:
-        """Remove row i and column j (1-based)."""
-        return NCSquare(
-            [
-                [e for c, e in enumerate(row, 1) if c != j]
-                for r, row in enumerate(self.entries, 1)
-                if r != i
-            ],
-            self.field,
-        )
-
     def corner(self, l: int) -> NCSquare:
         """Keep rows and columns 1..l (erase l+1..m)."""
         return NCSquare([row[:l] for row in self.entries[:l]], self.field)
 
     # -- ring operations -------------------------------------------------------
 
-    def ring_inverse(self) -> NCSquare:
-        """Inverse in the matrix ring over the entry ring (via flattening)."""
-        flat = gauss_invert(self.flatten())
+    def matmul(self, other: NCSquare) -> NCSquare:
+        """The flat product, read back as a square."""
+        if self.m != other.m or self.one != other.one:
+            raise ValueError("NCSquare product shape/entry-ring mismatch")
+        flat = self.flatten() * other.flatten()
         if isinstance(self.one, Matrix):
             return NCSquare.from_flat(flat, self.m)
         return NCSquare(flat.entries, self.field)
-
-    def matmul(self, other: NCSquare) -> NCSquare:
-        if self.m != other.m or self.one != other.one:
-            raise ValueError("NCSquare product shape/entry-ring mismatch")
-        out = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.m):
-                acc = self.zero
-                for k in range(self.m):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return NCSquare(out, self.field)
 
     def is_unitriangular(self, lower: bool) -> bool:
         for i in range(self.m):
@@ -163,28 +139,37 @@ def all_sigmas(m: int):
 
 
 def quasideterminant(x: NCSquare, i: int, j: int):
-    """|X|_ij; raises SubmatrixSingularError when X^ij is not invertible."""
+    """|X|_ij; raises SubmatrixSingularError when X^ij is not invertible.
+
+    A quasideterminant is a Schur complement, so it is one solve.  With the
+    puncture moved to the last block row and column the flattening reads
+    [[A, c], [r, x_ij]], A = X^ij of size n = (m-1)d.  The reduced echelon
+    form of its first n rows, pivoting in A's columns only, carries
+    Y = A^{-1} c, and |X|_ij = x_ij - r Y.
+    """
     if not (1 <= i <= x.m and 1 <= j <= x.m):
         raise ValueError(f"puncture ({i},{j}) outside 1..{x.m}")
     if x.m == 1:
         return x[(1, 1)]
-    try:
-        inv = x.minor(i, j).ring_inverse()
-    except SingularMatrixError as exc:
-        raise SubmatrixSingularError(i, j) from exc
-    row = [x.entries[i - 1][c] for c in range(x.m) if c != j - 1]
-    col = [x.entries[r][j - 1] for r in range(x.m) if r != i - 1]
+    rows = [r for r in range(x.m) if r != i - 1] + [i - 1]
+    cols = [c for c in range(x.m) if c != j - 1] + [j - 1]
+    flat = NCSquare([[x.entries[r][c] for c in cols] for r in rows], x.field).flatten()
+    n, zero = (x.m - 1) * x.inner, x.field.zero
+    reduced = rref_rows(
+        [{k: v for k, v in enumerate(row) if v} for row in flat.entries[:n]],
+        range(n),
+        x.field.one,
+    )
+    if len(reduced) < n:
+        raise SubmatrixSingularError(i, j)
+    y = [[reduced[p].get(k, zero) for k in range(n, flat.cols)] for p in range(n)]
+    r = [row[:n] for row in flat.entries[n:]]
     # summing the correction first keeps x_ij's denominator out of every
     # partial sum, which keeps the gcds of generic scalar entries small
-    corr = x.zero
-    for a, ra in enumerate(row):
-        if not ra:
-            continue
-        for b, cb in enumerate(col):
-            mid = inv.entries[a][b]
-            if cb and mid:
-                corr = corr + ra * mid * cb
-    return x[(i, j)] - corr
+    corr = Matrix(x.inner, n, r, x.field) * Matrix(n, x.inner, y, x.field)
+    if isinstance(x.one, Matrix):
+        return x[(i, j)] - corr
+    return x[(i, j)] - corr.entries[0][0]
 
 
 def corner_factors(x: NCSquare):
@@ -209,11 +194,11 @@ def det_sigma(x: NCSquare, sigma, factors=None):
 def inverse_via_quasiminors(x: NCSquare) -> NCSquare:
     """Entrywise inverse formula: (X^{-1})_ij = (|X|_ji)^{-1}.
 
-    Independent of Gaussian elimination; used as a cross-check of the
-    flattening-based inverses.  A singular punctured submatrix marks an
-    entry whose quasiminor blows up (commutatively: a vanishing cofactor);
-    such entries are taken as 0 and the multiply-back identity at the end
-    justifies the convention instance by instance.
+    Built from m^2 quasideterminants, so it cross-checks gauss_invert of
+    the flattening.  A singular punctured submatrix marks an entry whose
+    quasiminor blows up (commutatively: a vanishing cofactor); such entries
+    are taken as 0 and the multiply-back identity at the end justifies the
+    convention instance by instance.
     """
     undefined = []
     out = []
@@ -227,17 +212,11 @@ def inverse_via_quasiminors(x: NCSquare) -> NCSquare:
                 undefined.append((j, i))
         out.append(row)
     inv = NCSquare(out, x.field)
-    for prod in (x.matmul(inv), inv.matmul(x)):
-        for r in range(x.m):
-            for c in range(x.m):
-                e = prod.entries[r][c]
-                ok = e == x.one if r == c else not e
-                if not ok:
-                    if undefined:
-                        raise SubmatrixSingularError(*undefined[0])
-                    raise SingularMatrixError(
-                        "quasiminor inverse failed the multiply-back identity"
-                    )
+    a, b = x.flatten(), inv.flatten()
+    if not ((a * b).is_identity() and (b * a).is_identity()):
+        if undefined:
+            raise SubmatrixSingularError(*undefined[0])
+        raise SingularMatrixError("quasiminor inverse failed the multiply-back identity")
     return inv
 
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
+from qdq.cli import run
+from qdq.frt import build_T
 from qdq.io_json import (
     grid_from_json,
     grid_to_json,
@@ -16,7 +19,13 @@ from qdq.io_json import (
     report_to_json,
 )
 from qdq.linalg import Matrix, gauss_invert, kernel_basis
-from qdq.quasidet import NCSquare
+from qdq.errors import SubmatrixSingularError
+from qdq.quasidet import (
+    NCSquare,
+    corner_factors,
+    inverse_via_quasiminors,
+    quasideterminant,
+)
 from qdq.report import Report
 from qdq.rmatrix import r_hat, standard_r, wedge_top, ybe_check
 from qdq.scalars import ScalarField
@@ -133,4 +142,85 @@ def test_kernel_outputs_golden_digest():
     assert (
         hashlib.sha256(blob).hexdigest()
         == "bd3e385f940504f7fab960f377852040b9550ece582cef1c338a490985d2dc89"
+    )
+
+
+def _generic_square(rng, m):
+    # (a0 + a1 s + a2 s^2) / (1 + b1 s + b2 s^2): non-monomial denominators
+    return NCSquare(
+        [
+            [
+                F.from_coeffs(
+                    [rng.randint(-3, 3) for _ in range(3)],
+                    [1, rng.randint(1, 3), rng.randint(0, 2)],
+                )
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ],
+        F,
+    )
+
+
+def _encode(value):
+    return matrix_to_json(value) if isinstance(value, Matrix) else ratfunc_to_json(value)
+
+
+def test_quasideterminant_outputs_golden_digest(capsys, tmp_path):
+    # Every puncture of seeded generic 3x3 and 4x4 squares over Q(s), the
+    # corner factors of T for gl3 Cremmer-Gervais and gl4 1->3 with
+    # k = (1,1) and (2,1), one quasiminor inverse of an operator square,
+    # and `qdq quasidet` on a scalar and an operator file.  The digest was
+    # recorded from the route that inverted the whole punctured submatrix.
+    rng = random.Random(14)
+    payload = []
+    for m in (3, 4):
+        x = _generic_square(rng, m)
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                try:
+                    payload.append(_encode(quasideterminant(x, i, j)))
+                except SubmatrixSingularError as exc:
+                    payload.append(["singular", exc.i, exc.j])
+    h = Fraction(1, 2)
+    cg = build_twist(BDTriple.make(3, [1], [2], {1: 2}), [[0, h, h], [h, 0, h], [0, h, 0]])
+    gl4 = build_twist(BDTriple.make(4, [1], [3], {1: 3}))
+    for tw, k1, k2 in ((cg, 1, 1), (gl4, 1, 1), (gl4, 2, 1)):
+        factors = corner_factors(build_T(tw, k1, k2).t_blocks)
+        payload.append([_encode(a) for a in factors])
+    op = NCSquare(
+        [
+            [
+                Matrix(
+                    2,
+                    2,
+                    [
+                        [F.from_coeffs([rng.randint(-2, 2), rng.randint(-1, 1)]) for _ in range(2)]
+                        for _ in range(2)
+                    ],
+                    F,
+                )
+                + Matrix.identity(2, F).scale(F.from_rational(7 if a == b else 0))
+                for b in range(3)
+            ]
+            for a in range(3)
+        ],
+        F,
+    )
+    payload.append([[_encode(e) for e in row] for row in inverse_via_quasiminors(op).entries])
+    scal = NCSquare(
+        [[F.from_rational(v) for v in row] for row in ((2, 1, 0), (1, 3, 1), (0, 1, 4))], F
+    )
+    for name, x, ij in (("scalar", scal, ("2", "2")), ("operator", op, ("1", "3"))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(ncsquare_to_json(x)))
+        code = run(["quasidet", "--file", str(path), "--i", ij[0], "--j", ij[1]])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        payload.append(json.loads(out))
+    assert len(payload) == 9 + 16 + 3 + 1 + 2
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "e2d81949fc070411fd1ea18ec29148883b215f7ca9ef3fbd7899b7a3cc61abbe"
     )

@@ -6,8 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from qdq.errors import SubmatrixSingularError
-from qdq.linalg import Matrix
+from qdq.errors import SingularMatrixError, SubmatrixSingularError
+from qdq.frt import build_T
+from qdq.linalg import Matrix, gauss_invert
 from qdq.quasidet import (
     NCSquare,
     all_sigmas,
@@ -18,8 +19,10 @@ from qdq.quasidet import (
     triangular_invariance_check,
 )
 from qdq.scalars import ScalarField
+from qdq.twist import BDTriple, build_twist
 
 F = ScalarField(1)
+H = Fraction(1, 2)
 
 
 def scalar_square(grid):
@@ -82,8 +85,6 @@ def test_two_by_two_formula_operator_entries():
     ents[1][1] = ents[1][1] + Matrix.identity(2, f).scale(f.from_rational(10))
     x = NCSquare(ents, f)
     got = quasideterminant(x, 1, 1)
-    from qdq.linalg import gauss_invert
-
     want = ents[0][0] - ents[0][1] * gauss_invert(ents[1][1]) * ents[1][0]
     assert got == want
 
@@ -213,8 +214,8 @@ def test_inverse_via_quasiminors_operator_entries():
                 assert prod.entries[i][j] == ident
             else:
                 assert prod.entries[i][j].is_zero()
-    # and it agrees with the flattening-based inverse
-    assert inv == x.ring_inverse()
+    # and it agrees with the inverse of the flattening
+    assert inv == NCSquare.from_flat(gauss_invert(x.flatten()), 3)
 
 
 def rand_unitriangular(rng, m, lower):
@@ -260,3 +261,135 @@ def test_submatrix_singular_carries_position():
     with pytest.raises(SubmatrixSingularError) as err:
         quasideterminant(x, 3, 3)  # minor is the singular all-ones 2x2
     assert (err.value.i, err.value.j) == (3, 3)
+
+
+def inverse_route_quasideterminant(x, i, j):
+    """Oracle: |X|_ij by the route the one solve replaced.
+
+    The whole inverse of X^ij, as gauss_invert of its flattening read back
+    as a square, then the (m-1)^2 block triple products r_a (X^ij)^{-1}_ab c_b
+    summed before x_ij is subtracted.
+    """
+    if x.m == 1:
+        return x[(1, 1)]
+    minor = NCSquare(
+        [
+            [e for c, e in enumerate(row, 1) if c != j]
+            for r, row in enumerate(x.entries, 1)
+            if r != i
+        ],
+        x.field,
+    )
+    try:
+        flat = gauss_invert(minor.flatten())
+    except SingularMatrixError:
+        raise SubmatrixSingularError(i, j) from None
+    if isinstance(x.one, Matrix):
+        inv = NCSquare.from_flat(flat, x.m - 1)
+    else:
+        inv = NCSquare(flat.entries, x.field)
+    row = [x.entries[i - 1][c] for c in range(x.m) if c != j - 1]
+    col = [x.entries[r][j - 1] for r in range(x.m) if r != i - 1]
+    corr = x.zero
+    for a, ra in enumerate(row):
+        for b, cb in enumerate(col):
+            mid = inv.entries[a][b]
+            if ra and cb and mid:
+                corr = corr + ra * mid * cb
+    return x[(i, j)] - corr
+
+
+def punctures_agree(x):
+    """Compare both routes at every puncture; returns the singular ones."""
+    singular = []
+    for i in range(1, x.m + 1):
+        for j in range(1, x.m + 1):
+            try:
+                want = inverse_route_quasideterminant(x, i, j)
+            except SubmatrixSingularError as exc:
+                with pytest.raises(SubmatrixSingularError) as err:
+                    quasideterminant(x, i, j)
+                assert (err.value.i, err.value.j) == (exc.i, exc.j) == (i, j)
+                singular.append((i, j))
+                continue
+            assert quasideterminant(x, i, j) == want, (i, j)
+    return singular
+
+
+def rand_qs(rng):
+    return F.from_coeffs(
+        [rng.randint(-3, 3) for _ in range(3)], [1, rng.randint(0, 3), rng.randint(0, 2)]
+    )
+
+
+def rand_blocks(rng, m, d=2):
+    """Blocks of polynomials a + b s; generic Q(s) blocks would be slow."""
+    return NCSquare(
+        [
+            [
+                Matrix(
+                    d,
+                    d,
+                    [[F.from_coeffs([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(d)]
+                     for _ in range(d)],
+                    F,
+                )
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ],
+        F,
+    )
+
+
+def test_solve_matches_inverse_route_scalar_qs():
+    rng = random.Random(41)
+    for m in (1, 2, 3, 4, 2, 3):
+        x = NCSquare([[rand_qs(rng) for _ in range(m)] for _ in range(m)], F)
+        assert punctures_agree(x) == []
+
+
+def test_solve_matches_inverse_route_operator_blocks():
+    rng = random.Random(43)
+    for m in (2, 3, 2):
+        assert punctures_agree(rand_blocks(rng, m)) == []
+
+
+@pytest.mark.parametrize(
+    "triple, theta",
+    [
+        (BDTriple.make(3, [1], [2], {1: 2}), [[0, H, H], [H, 0, H], [0, H, 0]]),
+        (BDTriple.make(4, [1], [3], {1: 3}), None),
+    ],
+    ids=["gl3-cg", "gl4-1to3"],
+)
+def test_solve_matches_inverse_route_on_T_corners(triple, theta):
+    # X^ij of a corner is invertible on the diagonal only
+    t = build_T(build_twist(triple, theta)).t_blocks
+    for l in range(1, t.m + 1):
+        off = [(i, j) for i in range(1, l + 1) for j in range(1, l + 1) if i != j]
+        assert punctures_agree(t.corner(l)) == off
+
+
+def test_solve_matches_inverse_route_singular_x():
+    # X is singular but every X^ij is invertible: each |X|_ij is 0
+    x = scalar_square([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert punctures_agree(x) == []
+    assert all(quasideterminant(x, i, j) == 0 for i in (1, 2, 3) for j in (1, 2, 3))
+    rng = random.Random(47)
+    a = rand_blocks(rng, 1).entries[0][0]
+    gauss_invert(a)  # every X^ij below is a, invertible
+    y = NCSquare([[a, a], [a, a]], F)
+    assert punctures_agree(y) == []
+    assert all(quasideterminant(y, i, j).is_zero() for i in (1, 2) for j in (1, 2))
+
+
+def test_solve_matches_inverse_route_singular_submatrix():
+    x = scalar_square([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    assert punctures_agree(x) == [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]
+    rng = random.Random(53)
+    y = rand_blocks(rng, 3)
+    ents = [list(row) for row in y.entries]
+    ents[0][1], ents[1][1] = ents[0][0], ents[1][0]  # X^33 has equal block columns
+    singular = punctures_agree(NCSquare(ents, F))
+    assert (3, 3) in singular
