@@ -44,9 +44,9 @@ print("\nroot order needed:", tw.field.root_order, "(q is a square, q^(1/2) = s)
 print("J' - Id has", sum(1 for i in range(9) for j in range(9)
       if i != j and tw.jprime_vv.entries[i][j]), "nonzero off-diagonal entry")
 
-print("\ncocycle identity on V (x) V (x) V:", cocycle_check(cg, sol.theta).passed)
+print("\ncocycle identity on V (x) V (x) V:", cocycle_check(tw).passed)
 print("Yang-Baxter for R_J:", ybe_check(tw.r_j).passed)
-hk = hecke_check(r_hat(tw.r_j), tw.field)
+hk = hecke_check(r_hat(tw.r_j))
 print("Hecke relation for Rhat_J:", hk.passed, "eigenspace dims", hk.details["eigenspace_dims"])
 
 w = wedge_top(r_hat(tw.r_j), 3)
@@ -56,7 +56,7 @@ print("twist weight vector p =", [str(v) for v in p_vector(tw)])
 # a corrupted theta breaks the cocycle, with an exact witness
 bad = [row[:] for row in sol.theta]
 bad[0][0] = bad[0][0] + 1
-rep = cocycle_check(cg, bad)
+rep = cocycle_check(build_twist(cg, bad))
 print("\ncorrupted theta still a twist?", rep.passed)
 print("first mismatch at", rep.witness["coords"], ":",
       rep.witness["lhs"], "vs", rep.witness["rhs"])

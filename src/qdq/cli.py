@@ -163,6 +163,9 @@ def _report_lines(rep: Report, depth=0):
             line += f"  at {wit['coords']}: {wit.get('lhs')} != {wit.get('rhs')}"
         elif "clauses" in wit:
             line += f"  ({', '.join(wit['clauses'])})"
+        elif "eigenspace_dims" in wit:
+            dims, want = wit["eigenspace_dims"], wit["expected_dims"]
+            line += f"  eigenspace dims {dims} != expected {want}"
     yield line
     for sub in rep.details.get("checks", []):
         yield from _report_lines(sub, depth + 1)
@@ -243,7 +246,7 @@ def cmd_check(args) -> int:
     kind = args.kind
     if kind in ("ybe", "hecke"):
         r = _twist_from_args(args).r_j
-        rep = ybe_check(r) if kind == "ybe" else hecke_check(r_hat(r), r.field)
+        rep = ybe_check(r) if kind == "ybe" else hecke_check(r_hat(r))
         return _finish_report(rep, args)
     if kind == "cocycle":
         return _finish_report(cocycle_check(_twist_from_args(args)), args)

@@ -212,6 +212,8 @@ def verify_factorization(
     if sigmas is None:
         sigmas = all_sigmas(n)
     sigmas = [check_sigma(s, n) for s in sigmas]
+    if not sigmas:
+        raise ValueError("sigmas names no ordering")
     params = {
         "n": n,
         "g1": tw.triple.gamma1,
@@ -225,7 +227,7 @@ def verify_factorization(
     }
     subreports = [
         clock.stamp(ybe_check(tw.r_j)),
-        clock.stamp(hecke_check(r_hat(tw.r_j), tw.field)),
+        clock.stamp(hecke_check(r_hat(tw.r_j))),
         clock.stamp(cocycle_check(tw)),
     ]
     model = build_T(tw, k1, k2)

@@ -77,8 +77,10 @@ def ybe_check(r: RMatrix) -> Report:
 
 
 @timed
-def hecke_check(rhat: Matrix, field: ScalarField) -> Report:
-    """(Rhat - q)(Rhat + 1/q) = 0, with the two eigenspace dimensions."""
+def hecke_check(rhat: Matrix) -> Report:
+    """(Rhat - q)(Rhat + 1/q) = 0 with eigenspaces of dimensions n(n+1)/2 and
+    n(n-1)/2; the relation alone would pass q Id and -1/q Id."""
+    field = rhat.field
     d = rhat.rows
     n = round(d**0.5)
     ident = Matrix.identity(d, field)
@@ -86,8 +88,10 @@ def hecke_check(rhat: Matrix, field: ScalarField) -> Report:
     rep = equality_report("hecke", {"dim": d}, lhs, Matrix.zeros(d, d, field))
     sym = len(kernel_basis(rhat - ident.scale(field.q)))
     anti = len(kernel_basis(rhat + ident.scale(field.q_inv)))
-    rep.details["eigenspace_dims"] = (sym, anti)
-    rep.details["expected_dims"] = (n * (n + 1) // 2, n * (n - 1) // 2)
+    expected = (n * (n + 1) // 2, n * (n - 1) // 2)
+    rep.details.update(eigenspace_dims=(sym, anti), expected_dims=expected)
+    if rep.passed and (sym, anti) != expected:
+        rep.passed, rep.witness = False, dict(rep.details)
     return rep
 
 
@@ -127,27 +131,28 @@ def wedge_coefficients(w, n: int):
     return {ti.from_linear(i): c for i, c in enumerate(w) if c}
 
 
-def _matrix_leg_product(r: Matrix, n: int, k: int) -> NCSquare:
-    """r_{0,k} ... r_{0,1} on V (x) V^(x)k, with leg 0 the matrix leg, read
-    as an n x n square of operators over that leg."""
+def leg_product(factors, n: int, k: int) -> Matrix:
+    """The ordered product of factors (op, legs), each op embedded on its
+    legs of V^(x)k by leg_embed."""
     flat = None
-    for j in range(k, 0, -1):
-        factor = leg_embed(r, (1, 1 + j), n, k + 1)
+    for op, legs in factors:
+        factor = leg_embed(op, legs, n, k)
         flat = factor if flat is None else flat * factor
-    return NCSquare.from_flat(flat, n)
+    return flat
 
 
 def l_plus(r_j: RMatrix, k: int) -> NCSquare:
     """L+ acting on W = V^(x)k, read as an n x n square of operators over the
     first (matrix) leg: the flattened form is R_{0,k} ... R_{0,1} with leg 0
     the matrix leg (hexagon composition)."""
-    return _matrix_leg_product(r_j.mat, r_j.n, k)
+    factors = [(r_j.mat, (1, j)) for j in range(k + 1, 1, -1)]
+    return NCSquare.from_flat(leg_product(factors, r_j.n, k + 1), r_j.n)
 
 
 def l_minus(r_j: RMatrix, k: int) -> NCSquare:
     """L- on V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
     p = flip_perm(r_j.n, r_j.field)
-    return _matrix_leg_product(p * gauss_invert(r_j.mat) * p, r_j.n, k)
+    return l_plus(RMatrix(r_j.n, p * gauss_invert(r_j.mat) * p, r_j.field), k)
 
 
 def cartan_exp(a_grid, field: ScalarField) -> Matrix:

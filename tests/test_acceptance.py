@@ -118,9 +118,9 @@ def test_cremmer_gervais_gl3():
     assert theta_residuals(CG, sol.theta) == []
     assert theta_residuals(CG, CG_THETA) == []
     tw = build_twist(CG, CG_THETA)
-    assert cocycle_check(CG, CG_THETA).passed
+    assert cocycle_check(tw).passed
     assert ybe_check(tw.r_j).passed
-    rep = hecke_check(r_hat(tw.r_j), tw.field)
+    rep = hecke_check(r_hat(tw.r_j))
     assert rep.passed and rep.details["eigenspace_dims"] == (6, 3)
     w = wedge_top(r_hat(tw.r_j), 3)  # raises unless dimension is exactly 1
     assert any(w)
@@ -139,7 +139,7 @@ def test_cremmer_gervais_gl3():
 def test_beta_extension_gl3():
     done = budget("beta extension gl3", 120.0)
     tw = build_twist(CG, CG_THETA, CG_BETA)
-    assert cocycle_check(CG, CG_THETA, CG_BETA).passed
+    assert cocycle_check(tw).passed
     assert_full_battery(tw)
     done()
 
@@ -247,7 +247,7 @@ def test_solver_coverage_n_up_to_5():
         for t in enumerate_triples(n):
             sol = solve_theta(t)
             assert theta_residuals(t, sol.theta) == []
-            assert cocycle_check(t, sol.theta).passed, (n, t)
+            assert cocycle_check(build_twist(t, sol.theta)).passed, (n, t)
             total += 1
     assert total >= 25  # includes every nonempty datum plus the empty ones
     print(f"  ({total} triples covered)")
@@ -258,7 +258,7 @@ def test_negative_controls():
     done = budget("negative controls", 60.0)
     bad = [row[:] for row in CG_THETA]
     bad[0][0] = bad[0][0] + 1  # breaks the mixed moment condition
-    rep = cocycle_check(CG, bad)
+    rep = cocycle_check(build_twist(CG, bad))
     assert not rep.passed
     assert rep.witness is not None
     assert rep.witness["lhs"] != rep.witness["rhs"]

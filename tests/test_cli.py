@@ -69,6 +69,21 @@ def test_text_format_names_the_failed_premise(capsys, monkeypatch):
     assert "(first failure: frt)" in out.splitlines()[0]
 
 
+def test_degenerate_hecke_names_both_dimension_pairs(capsys, monkeypatch):
+    # q Id passes the Hecke relation with all of V (x) V its q-eigenspace
+    monkeypatch.setattr(
+        "qdq.cli.r_hat", lambda r: Matrix.identity(r.n * r.n, r.field).scale(r.field.q)
+    )
+    code, out, _ = invoke(capsys, "check", "hecke", "--n", "2", "--format", "text")
+    assert code == 1
+    (line,) = out.splitlines()
+    assert "FAIL" in line and line.endswith("eigenspace dims (4, 0) != expected (3, 1)")
+    code, out, _ = invoke(capsys, "check", "hecke", "--n", "2")
+    assert code == 1
+    want = {"eigenspace_dims": [4, 0], "expected_dims": [3, 1]}
+    assert json.loads(out)["witness"] == want
+
+
 def test_internal_error_exit_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("stage broke")

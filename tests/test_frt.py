@@ -312,6 +312,15 @@ def test_verify_factorization_corrupted_theta_fails():
     assert rep.witness and "failed" in rep.witness
 
 
+def test_verify_factorization_rejects_no_sigmas_before_any_work(monkeypatch):
+    def no_work(r):
+        raise AssertionError("ybe ran before the orderings were checked")
+
+    monkeypatch.setattr("qdq.frt.ybe_check", no_work)
+    with pytest.raises(ValueError, match="no ordering"):
+        verify_factorization(untwisted(2), sigmas=[])
+
+
 def test_qdet_subreports_time_their_inputs(monkeypatch):
     # the wedge and the coaction products are timed by qdet-coaction
     inner = qdet_coaction

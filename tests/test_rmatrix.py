@@ -108,15 +108,24 @@ def test_ybe_fails_generic():
 def test_hecke_dims():
     for n, dims in ((2, (3, 1)), (3, (6, 3)), (4, (10, 6))):
         r = standard_r(n, F)
-        rep = hecke_check(r_hat(r), F)
+        rep = hecke_check(r_hat(r))
         assert rep.passed
         assert rep.details["eigenspace_dims"] == dims
         assert rep.details["expected_dims"] == dims
 
 
 def test_hecke_fails_for_identity():
-    rep = hecke_check(Matrix.identity(4, F), F)
+    rep = hecke_check(Matrix.identity(4, F))
     assert not rep.passed
+
+
+def test_hecke_fails_for_degenerate_braidings():
+    # q Id and -1/q Id satisfy the quadratic relation, one eigenspace empty
+    ident = Matrix.identity(4, F)
+    for rhat, dims in ((ident.scale(F.q), (4, 0)), (ident.scale(-F.q_inv), (0, 4))):
+        rep = hecke_check(rhat)
+        assert not rep.passed
+        assert rep.witness == {"eigenspace_dims": dims, "expected_dims": (3, 1)}
 
 
 def test_wedge_n2():

@@ -9,8 +9,23 @@ from dense_elimination import rref_rows
 
 import qdq.twist
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
-from qdq.linalg import Matrix, TensorIndexing, kernel_basis_grid, solve_particular
-from qdq.rmatrix import hecke_check, r_hat, standard_r, wedge_top, ybe_check
+from qdq.linalg import (
+    Matrix,
+    TensorIndexing,
+    kernel_basis_grid,
+    leg_embed,
+    solve_particular,
+)
+from qdq.report import equality_report
+from qdq.rmatrix import (
+    cartan_exp,
+    hecke_check,
+    leg_product,
+    r_hat,
+    standard_r,
+    wedge_top,
+    ybe_check,
+)
 from qdq.scalars import Q
 from qdq.twist import (
     BDTriple,
@@ -18,6 +33,7 @@ from qdq.twist import (
     build_twist,
     cartan_data,
     cocycle_check,
+    coproduct_factors,
     enumerate_triples,
     p_vector,
     solve_theta,
@@ -217,7 +233,7 @@ def test_twist_classical_limit_and_conjugation():
 def test_twisted_r_passes_structure_checks():
     tw = build_twist(CG, CG_THETA)
     assert ybe_check(tw.r_j).passed
-    rep = hecke_check(r_hat(tw.r_j), tw.field)
+    rep = hecke_check(r_hat(tw.r_j))
     assert rep.passed
     assert rep.details["eigenspace_dims"] == (6, 3)
     w = wedge_top(r_hat(tw.r_j), 3)
@@ -225,23 +241,23 @@ def test_twisted_r_passes_structure_checks():
 
 
 def test_cocycle_trivial_and_cg():
-    assert cocycle_check(BDTriple.make(2)).passed
-    assert cocycle_check(CG, CG_THETA).passed
-    assert cocycle_check(CG).passed  # solver's own Theta
+    assert cocycle_check(build_twist(BDTriple.make(2))).passed
+    assert cocycle_check(build_twist(CG, CG_THETA)).passed
+    assert cocycle_check(build_twist(CG)).passed  # solver's own Theta
 
 
 def test_cocycle_corrupted_theta_fails():
     bad = [row[:] for row in CG_THETA]
     bad[0][0] = bad[0][0] + 1  # breaks the mixed moment condition
     assert theta_residuals(CG, bad) != []
-    rep = cocycle_check(CG, bad)
+    rep = cocycle_check(build_twist(CG, bad))
     assert not rep.passed
     assert rep.witness and rep.witness["lhs"] != rep.witness["rhs"]
 
 
 def test_beta_extension():
     tw = build_twist(CG, CG_THETA, CG_BETA)
-    assert cocycle_check(CG, CG_THETA, CG_BETA).passed
+    assert cocycle_check(tw).passed
     # antisymmetric beta flips its p-vector contribution with its sign
     p0 = p_vector(build_twist(CG, CG_THETA))
     pp = p_vector(tw)
@@ -277,7 +293,7 @@ def test_cocycle_with_beta_across_triples(n):
         beta = [
             [(u[i] * v[j] - v[i] * u[j]) / 2 for j in range(n)] for i in range(n)
         ]
-        assert cocycle_check(t, None, beta).passed, (t, "beta cocycle")
+        assert cocycle_check(build_twist(t, None, beta)).passed, (t, "beta cocycle")
 
 
 def test_invalid_triples_raise_on_build():
@@ -296,7 +312,7 @@ def test_theta_solution_object_accepted():
     sol = solve_theta(CG)
     assert isinstance(sol, ThetaSolution)
     tw = build_twist(CG, sol)
-    assert cocycle_check(CG, sol.theta).passed
+    assert cocycle_check(build_twist(CG, sol.theta)).passed
     assert tw.field.root_order == 2
 
 
@@ -421,3 +437,143 @@ def test_build_twist_validates_and_derives_once(monkeypatch):
     counted("cartan_data")
     build_twist(GL4)
     assert calls == {"validate_triple": 1, "cartan_data": 1}
+
+
+def twists_up_to(max_n):
+    """The twist of every valid triple with n <= max_n, solver's Theta."""
+    return [build_twist(t) for n in range(1, max_n + 1) for t in enumerate_triples(n)]
+
+
+def gl4_beta():
+    """A nonzero beta in h0 (x) h0 for GL4, from its first two h0 directions."""
+    u, v = cartan_data(GL4).h0_basis[:2]
+    return [[(u[i] * v[j] - v[i] * u[j]) / 2 for j in range(4)] for i in range(4)]
+
+
+def bad_cg_twist():
+    bad = [row[:] for row in CG_THETA]
+    bad[0][0] = bad[0][0] + 1  # breaks the mixed moment condition
+    return build_twist(CG, bad)
+
+
+def oracle_cocycle_sides(tw):
+    """Both sides of the cocycle identity written out by hand, as chains of
+    leg-embedded Cartan exponentials and Rt factors."""
+    n = tw.n
+    field = tw.field
+    neg_theta = [[-v for v in row] for row in tw.theta]
+
+    def ce(grid, legs):
+        return leg_embed(cartan_exp(grid, field), legs, n, 3)
+
+    rt13 = leg_embed(tw.rtilde_vv, (1, 3), n, 3)
+    rt23 = leg_embed(tw.rtilde_vv, (2, 3), n, 3)
+    rt12 = leg_embed(tw.rtilde_vv, (1, 2), n, 3)
+    j12 = leg_embed(tw.j_vv, (1, 2), n, 3)
+    j23 = leg_embed(tw.j_vv, (2, 3), n, 3)
+    lhs = (
+        ce(neg_theta, (1, 3))
+        * ce(neg_theta, (2, 3))
+        * rt13
+        * rt23
+        * ce(tw.beta, (1, 3))
+        * ce(tw.beta, (2, 3))
+        * j12
+    )
+    rhs = (
+        ce(neg_theta, (1, 3))
+        * ce(neg_theta, (1, 2))
+        * rt13
+        * rt12
+        * ce(tw.beta, (1, 3))
+        * ce(tw.beta, (1, 2))
+        * j23
+    )
+    return lhs, rhs
+
+
+def checked_cocycle_sides(tw, monkeypatch):
+    """cocycle_check's report and the two matrices it compared."""
+    seen = []
+
+    def capture(check, params, lhs, rhs):
+        seen.append((lhs, rhs))
+        return equality_report(check, params, lhs, rhs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(qdq.twist, "equality_report", capture)
+        rep = cocycle_check(tw)
+    (sides,) = seen
+    return rep, sides
+
+
+def test_cocycle_sides_match_the_hand_written_chains(monkeypatch):
+    cases = twists_up_to(4) + [
+        bad_cg_twist(),
+        build_twist(CG, CG_THETA, CG_BETA),
+        build_twist(GL4, None, gl4_beta()),
+    ]
+    assert len(cases) == 15
+    verdicts = Counter()
+    for tw in cases:
+        rep, (lhs, rhs) = checked_cocycle_sides(tw, monkeypatch)
+        want_lhs, want_rhs = oracle_cocycle_sides(tw)
+        assert lhs == want_lhs and rhs == want_rhs, tw.triple
+        want = equality_report("cocycle", rep.params, want_lhs, want_rhs)
+        assert (rep.passed, rep.witness) == (want.passed, want.witness), tw.triple
+        verdicts[rep.passed] += 1
+    assert verdicts == {True: 14, False: 1}
+
+
+def test_coproduct_factors_order_and_shared_exponentials():
+    tw = build_twist(GL4, None, gl4_beta())
+    pairs = [(1, 4), (2, 4), (3, 4)]
+    factors = coproduct_factors(tw, pairs)
+    assert [legs for _, legs in factors] == pairs * 3
+    ops = [op for op, _ in factors]
+    neg_theta = cartan_exp([[-v for v in row] for row in tw.theta], tw.field)
+    assert ops[0] == neg_theta and ops[6] == cartan_exp(tw.beta, tw.field)
+    assert all(op is ops[0] for op in ops[:3]) and all(op is ops[6] for op in ops[6:])
+    assert all(op is tw.rtilde_vv for op in ops[3:6])
+
+
+def test_pair_12_gives_the_twist():
+    for tw in twists_up_to(4) + [build_twist(GL4, None, gl4_beta()), bad_cg_twist()]:
+        assert leg_product(coproduct_factors(tw, [(1, 2)]), tw.n, 2) == tw.j_vv, tw.triple
+
+
+def iterated_twist_sides(tw):
+    """(D^2 (x) 1)(J) (D (x) 1)(J)_123 J12 and its mirror
+    (1 (x) D^2)(J) (1 (x) D)(J)_234 J34, both on V^(x)4."""
+    lhs = (
+        coproduct_factors(tw, [(1, 4), (2, 4), (3, 4)])
+        + coproduct_factors(tw, [(1, 3), (2, 3)])
+        + [(tw.j_vv, (1, 2))]
+    )
+    rhs = (
+        coproduct_factors(tw, [(1, 4), (1, 3), (1, 2)])
+        + coproduct_factors(tw, [(2, 4), (2, 3)])
+        + [(tw.j_vv, (3, 4))]
+    )
+    return leg_product(lhs, tw.n, 4), leg_product(rhs, tw.n, 4)
+
+
+def test_iterated_twist_on_four_legs():
+    for tw in twists_up_to(3) + [build_twist(GL4, None, gl4_beta())]:
+        lhs, rhs = iterated_twist_sides(tw)
+        assert lhs == rhs, tw.triple
+    lhs, rhs = iterated_twist_sides(bad_cg_twist())
+    assert lhs != rhs
+
+
+def test_cocycle_builds_at_most_four_cartan_exponentials(monkeypatch):
+    tw = build_twist(CG, CG_THETA, CG_BETA)
+    calls = []
+
+    def counted(grid, field):
+        calls.append(grid)
+        return cartan_exp(grid, field)
+
+    monkeypatch.setattr(qdq.twist, "cartan_exp", counted)
+    assert cocycle_check(tw).passed
+    assert 0 < len(calls) <= 4
