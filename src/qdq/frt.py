@@ -10,7 +10,8 @@ the matrix leg; the tests compare it with the block sums above.
 
 The verifier checks, all by exact matrix identities:
 
-  * the defining exchange relation R12 T13 T23 = T23 T13 R12,
+  * the exchange relation R12 T13 T23 = T23 T13 R12, certified by the RLL
+    relations of L+ and L- and T = L+ L- (the FRT bialgebra property),
   * the quantum determinant D extracted through the coaction on the top
     wedge vector, read from one row and certified by the exchange
     relation and the one-dimensional wedge,
@@ -69,32 +70,61 @@ class FRTModel:
         return self.t_blocks[(i, j)]
 
 
+def _t_flat(a: Matrix, b: Matrix, n: int, k1: int, k2: int) -> Matrix:
+    """flatten(T) = A B, A on V (x) W1 and B on V (x) W2 sharing the matrix leg."""
+    ktot = 1 + k1 + k2
+    a_emb = leg_embed(a, (1, *range(2, k1 + 2)), n, ktot)
+    return a_emb * leg_embed(b, (1, *range(k1 + 2, ktot + 1)), n, ktot)
+
+
 def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
     """T as the product of L+ and L- embedded along the shared matrix leg."""
     if k1 < 1 or k2 < 1:
         raise ValueError("tensor powers k1, k2 must be at least 1")
-    n = tw.n
-    ktot = 1 + k1 + k2
-    lp = leg_embed(l_plus(tw.r_j, k1).flatten(), (1,) + tuple(range(2, k1 + 2)), n, ktot)
-    lm = leg_embed(
-        l_minus(tw.r_j, k2).flatten(), (1,) + tuple(range(k1 + 2, ktot + 1)), n, ktot
-    )
-    return FRTModel(tw, k1, k2, NCSquare.from_flat(lp * lm, n))
+    a, b = l_plus(tw.r_j, k1).flatten(), l_minus(tw.r_j, k2).flatten()
+    return FRTModel(tw, k1, k2, NCSquare.from_flat(_t_flat(a, b, tw.n, k1, k2), tw.n))
+
+
+def _rll_sides(r: Matrix, a: Matrix, n: int, k: int):
+    """R12 A13 A23 and A23 A13 R12 on V (x) V (x) V^(x)k."""
+    w_legs = tuple(range(3, k + 3))
+    r12 = leg_embed(r, (1, 2), n, k + 2)
+    a13 = leg_embed(a, (1, *w_legs), n, k + 2)
+    a23 = leg_embed(a, (2, *w_legs), n, k + 2)
+    return r12 * a13 * a23, a23 * a13 * r12
 
 
 @timed
 def frt_check(m: FRTModel) -> Report:
-    """R12 T13 T23 = T23 T13 R12 on V (x) V (x) W1 (x) W2, exactly."""
-    n = m.n
-    ktot = 2 + m.k1 + m.k2
-    w_legs = tuple(range(3, ktot + 1))
-    r12 = leg_embed(m.twist.r_j.mat, (1, 2), n, ktot)
-    tflat = m.t_blocks.flatten()
-    t13 = leg_embed(tflat, (1,) + w_legs, n, ktot)
-    t23 = leg_embed(tflat, (2,) + w_legs, n, ktot)
-    lhs = r12 * t13 * t23
-    rhs = t23 * t13 * r12
-    return equality_report("frt", {"n": n, "k1": m.k1, "k2": m.k2}, lhs, rhs)
+    """R12 T13 T23 = T23 T13 R12 on V (x) V (x) W1 (x) W2, by a certificate.
+
+    With A = L+ on V (x) W1 and B = L- on V (x) W2, computed here from the
+    twist, the premises are rll_plus (R12 A13 A23 = A23 A13 R12 on
+    V (x) V (x) W1), rll_minus (the same for B on V (x) V (x) W2) and
+    t_is_product (flatten(T) = A B as build_T forms it, so T13 = A13 B14).
+    B14 commutes with A23, and B24 with A13, as they act on disjoint legs:
+
+        R12 T13 T23 = R12 A13 A23 B14 B24 = A23 A13 R12 B14 B24
+                    = A23 A13 B24 B14 R12 = T23 T13 R12,
+
+    the bialgebra property of the FRT algebra.  The details name the route
+    and each premise's outcome; a failure's witness names the first failed
+    premise with its first mismatch.
+    """
+    n, r, k1, k2 = m.n, m.twist.r_j, m.k1, m.k2
+    a, b = l_plus(r, k1).flatten(), l_minus(r, k2).flatten()
+    locs = {
+        "rll_plus": first_mismatch(*_rll_sides(r.mat, a, n, k1)),
+        "rll_minus": first_mismatch(*_rll_sides(r.mat, b, n, k2)),
+        "t_is_product": first_mismatch(m.t_blocks.flatten(), _t_flat(a, b, n, k1, k2)),
+    }
+    premises = {name: loc is None for name, loc in locs.items()}
+    rep = Report("frt", {"n": n, "k1": k1, "k2": k2}, all(premises.values()))
+    rep.details = {"route": "coproduct certificate", "premises": premises}
+    failed = next((name for name, ok in premises.items() if not ok), None)
+    if failed:
+        rep.witness = mismatch_witness(locs[failed], premise=failed)
+    return rep
 
 
 def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
@@ -110,8 +140,9 @@ def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
     trie of support prefixes.  That one row proves the identity for every
     I, including those off the support, provided two premises hold:
 
-      * R12 T13 T23 = T23 T13 R12 (frt_check), so each C_{i,i+1} (x) 1,
-        with C = Rhat + 1/q, commutes with T1 ... Tn;
+      * R12 T13 T23 = T23 T13 R12, which frt_check certifies from the
+        RLL relations of L+ and L- and T = L+ L-, so each
+        C_{i,i+1} (x) 1, with C = Rhat + 1/q, commutes with T1 ... Tn;
       * ker C on V^(x)n is span(w), which wedge_top proves exactly.
 
     Then (T1 ... Tn)(w (x) x) lies in span(w) (x) W for every x.  The

@@ -50,10 +50,8 @@ class NCSquare:
         self.field = field
         if isinstance(entries[0][0], Matrix):
             self.inner = entries[0][0].rows
-            for row in entries:
-                for e in row:
-                    if e.rows != self.inner or e.cols != self.inner:
-                        raise ValueError("operator entries must share one square size")
+            if any(e.rows != self.inner or e.cols != self.inner for r in entries for e in r):
+                raise ValueError("operator entries must share one square size")
             self.zero = Matrix.zeros(self.inner, self.inner, field)
             self.one = Matrix.identity(self.inner, field)
         else:
@@ -116,15 +114,11 @@ class NCSquare:
         return NCSquare(flat.entries, self.field)
 
     def is_unitriangular(self, lower: bool) -> bool:
-        for i in range(self.m):
-            for j in range(self.m):
-                e = self.entries[i][j]
-                if i == j:
-                    if e != self.one:
-                        return False
-                elif ((j > i) if lower else (j < i)) and e:
-                    return False
-        return True
+        return all(
+            e == self.one if i == j else not e or ((j < i) if lower else (j > i))
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
 
 def check_sigma(sigma, m: int):

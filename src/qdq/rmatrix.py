@@ -173,9 +173,5 @@ def weight_exp(c, k: int, field: ScalarField) -> Matrix:
     """Diagonal operator on V^(x)k scaling v_{i1} ... v_{ik} by
     q^{c_{i1} + ... + c_{ik}}; Cartan weights add over tensor factors."""
     c = [as_rational(x) for x in c]
-    n = len(c)
-    ti = TensorIndexing(n, k)
-    vals = []
-    for multi in ti.all_multis():
-        vals.append(q_power(sum(c[i - 1] for i in multi), field))
-    return Matrix.diag(vals, field)
+    multis = TensorIndexing(len(c), k).all_multis()
+    return Matrix.diag([q_power(sum(c[i - 1] for i in m), field) for m in multis], field)

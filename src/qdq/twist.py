@@ -72,19 +72,9 @@ class BDTriple:
 
     def blocks(self):
         """Connected components of gamma1 as (first_root, last_root) pairs."""
-        out = []
-        run = None
-        for a in self.gamma1:
-            if run is None:
-                run = [a, a]
-            elif a == run[1] + 1:
-                run[1] = a
-            else:
-                out.append(tuple(run))
-                run = [a, a]
-        if run is not None:
-            out.append(tuple(run))
-        return out
+        g1 = self.gamma1
+        firsts = [a for a in g1 if a - 1 not in g1]
+        return list(zip(firsts, [a for a in g1 if a + 1 not in g1]))
 
 
 @timed
@@ -101,19 +91,12 @@ def validate_triple(t: BDTriple) -> Report:
         failed.append("NotBijection")
     if set(t.gamma1) & set(t.gamma2):
         failed.append("NotDisjoint")
+    g1 = t.gamma1
     if "NotBijection" not in failed and "RootRange" not in failed:
-        adjacency_ok = True
-        for a in t.gamma1:
-            for b in t.gamma1:
-                if (abs(a - b) == 1) != (abs(tau[a] - tau[b]) == 1):
-                    adjacency_ok = False
-        if not adjacency_ok:
+        if any((abs(a - b) == 1) != (abs(tau[a] - tau[b]) == 1) for a in g1 for b in g1):
             failed.append("AdjacencyBroken")
-        else:
-            for a in t.gamma1:
-                if a + 1 in t.gamma1 and tau[a + 1] != tau[a] + 1:
-                    failed.append("OrderReversing")
-                    break
+        elif any(a + 1 in g1 and tau[a + 1] != tau[a] + 1 for a in g1):
+            failed.append("OrderReversing")
     rep = Report(
         "triple",
         {"n": t.n, "g1": t.gamma1, "g2": t.gamma2, "tau": t.tau_pairs},
@@ -169,13 +152,16 @@ def cartan_data(t: BDTriple) -> CartanData:
     gram = [[sum(x * y for x, y in zip(u, v)) for v in a1] for u in a1]
     ginv = invert_grid(gram, _Q0, _Q1)
     # Z = (tau (x) 1) of the h1 Casimir; in H-grid coordinates this is
-    # tau as a linear map, B_tau Ginv B^T: basis-independent, kills h1-perp
-    r = range(len(a1))
-    z_grid = [
-        [sum((a1_tau[i][k] * ginv[i][j] * a1[j][l] for i in r for j in r), _Q0)
-         for l in range(n)]
-        for k in range(n)
-    ]
+    # tau as a linear map, B_tau Ginv B^T: basis-independent, kills h1-perp.
+    # Ginv B^T first, skipping zeros; each nonzero entry of B_tau then adds
+    # its multiple of one row of it.
+    gb = [[sum((g * a[l] for g, a in zip(row, a1) if g and a[l]), _Q0)
+           for l in range(n)] for row in ginv]
+    z_grid = [[_Q0] * n for _ in range(n)]
+    for tau_row, gb_row in zip(a1_tau, gb):
+        for k, x in enumerate(tau_row):
+            if x:
+                z_grid[k] = [z + x * g for z, g in zip(z_grid[k], gb_row)]
     h0_basis = kernel_basis_grid(_h0_equations(t), n, _Q0, _Q1)
     return CartanData(n=n, z_grid=z_grid, h0_basis=h0_basis)
 
@@ -238,11 +224,8 @@ def _residuals(t: BDTriple, z, theta) -> list:
 def _solve_theta(t: BDTriple, z) -> list:
     n = t.n
     rows, rhs = [], []
-    for _, _, _, eq, b in _moment_system(t, z):
-        row = [_Q0] * (n * n)
-        for p, c in eq.items():
-            row[p] = c
-        rows.append(row)
+    for *_, eq, b in _moment_system(t, z):
+        rows.append([eq.get(p, _Q0) for p in range(n * n)])
         rhs.append(b)
     x = solve_particular(rows, rhs, _Q0, _Q1) if rows else [_Q0] * (n * n)
     if x is None:
@@ -323,10 +306,8 @@ def jprime_matrix(t: BDTriple, field: ScalarField) -> Matrix:
     for start, end in t.blocks():
         verts = list(range(start, end + 2))
         shift = tau[start] - start
-        for vi in verts:
-            for vj in verts:
-                if vi >= vj:
-                    continue
+        for x, vi in enumerate(verts):
+            for vj in verts[x + 1 :]:
                 # E_{tau(vi), tau(vj)} (x) E_{vj, vi} with tau the vertex map
                 a, b = vi + shift, vj + shift
                 row = (a - 1) * n + (vj - 1)
@@ -425,12 +406,8 @@ def cocycle_check(tw: Twist) -> Report:
 def p_vector(tw: Twist):
     """Cartan exponent of the grouplike normalization: column sums minus
     row sums of the twist's Cartan grid."""
-    n = tw.n
     a = tw.a_grid
-    return [
-        sum(a[j][i] for j in range(n)) - sum(a[i][j] for j in range(n))
-        for i in range(n)
-    ]
+    return [sum(col) - sum(row) for row, col in zip(a, zip(*a))]
 
 
 def enumerate_triples(n: int):

@@ -152,6 +152,15 @@ def test_gl4_battery():
     done()
 
 
+def test_gl4_battery_k21():
+    # the k >= 2 probe: W1 = V (x) V, so T acts on 64 dimensions
+    done = budget("gl4 (1 -> 3), k = (2, 1), all 24 sigma", 2.0)
+    tw = build_twist(GL4)
+    rep = assert_full_battery(tw, sigmas=all_sigmas(4), k1=2, k2=1)
+    assert rep.params["sigmas"] == 24 and (rep.params["k1"], rep.params["k2"]) == (2, 1)
+    done()
+
+
 def test_gl5_two_root_block_battery():
     # a twist whose diagram block has two roots: exercises the multi-term
     # unipotent part and root order 3 (the block Gram inverse has thirds)

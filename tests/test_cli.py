@@ -581,11 +581,23 @@ def test_cli_outputs_golden_digest(capsys, tmp_path):
     cg = ["--n", "3", "--g1", "1", "--g2", "2", "--tau", "1>2"]
     runs.append((["check", "cocycle", *cg, "--theta", str(bad)], 1))
     payload = []
+    certified = {
+        "route": "coproduct certificate",
+        "premises": {"rll_plus": True, "rll_minus": True, "t_is_product": True},
+    }
     for argv, want in runs:
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (want, ""), argv
         label = [a if a != str(bad) else "theta.json" for a in argv]
-        payload.append([label, code, _strip_ms(json.loads(out))])
+        obj = _strip_ms(json.loads(out))
+        # the digest predates the frt certificate: pop exactly its keys
+        subs = obj.get("details", {}).get("checks", [])
+        frt_subs = [sub for sub in subs if sub["check"] == "frt"]
+        assert len(frt_subs) == (argv[:2] == ["check", "main"]), argv
+        for sub in frt_subs:
+            assert {k: sub["details"].pop(k) for k in certified} == certified
+            assert sub["details"] == {}
+        payload.append([label, code, obj])
     assert "coords" in payload[-1][2]["witness"]
     assert len(payload) == 33
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from qdq.linalg import Matrix, kron
+import qdq.frt
+import qdq.linalg
+import qdq.rmatrix
+import qdq.twist
+from qdq.linalg import Matrix, first_mismatch, kron, leg_embed
 from qdq.frt import (
     FRTModel,
     build_T,
@@ -27,6 +31,7 @@ from qdq.twist import BDTriple, build_twist, cartan_data, untwisted
 H = Fraction(1, 2)
 CG = BDTriple.make(3, [1], [2], {1: 2})
 CG_THETA = [[0, H, H], [H, 0, H], [0, H, 0]]
+CG_BETA = [[0, H, 1], [-H, 0, H], [-1, -H, 0]]
 
 
 def test_build_T_untwisted_n2_blocks():
@@ -212,6 +217,97 @@ def test_qdet_perturbed_not_proportional(monkeypatch):
 @pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (3, 2)])
 def test_qdet_perturbed_breaks_frt_and_the_certificate(monkeypatch, i, j):
     assert_perturbation_caught(monkeypatch, cg_twist(), i, j)
+
+
+def literal_exchange(m):
+    """Oracle: the first mismatch of R12 T13 T23 = T23 T13 R12 multiplied out
+    on V (x) V (x) W1 (x) W2, the route frt_check's certificate replaced."""
+    n, ktot = m.n, 2 + m.k1 + m.k2
+    w_legs = tuple(range(3, ktot + 1))
+    r12 = leg_embed(m.twist.r_j.mat, (1, 2), n, ktot)
+    tflat = m.t_blocks.flatten()
+    t13 = leg_embed(tflat, (1, *w_legs), n, ktot)
+    t23 = leg_embed(tflat, (2, *w_legs), n, ktot)
+    return first_mismatch(r12 * t13 * t23, t23 * t13 * r12)
+
+
+CERTIFIED = {
+    "route": "coproduct certificate",
+    "premises": {"rll_plus": True, "rll_minus": True, "t_is_product": True},
+}
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: untwisted(2),
+        lambda: untwisted(3),
+        cg_twist,
+        lambda: build_twist(CG, CG_THETA, CG_BETA),
+        gl4_with_beta,
+    ],
+    ids=["gl2", "gl3", "gl3-cg", "gl3-cg-beta", "gl4-beta"],
+)
+def test_certificate_agrees_with_the_literal_product(make, k1, k2):
+    m = build_T(make(), k1, k2)
+    rep = frt_check(m)
+    assert rep.passed == (literal_exchange(m) is None)
+    assert rep.passed and rep.witness is None and rep.details == CERTIFIED
+    if m.n < 4 and (k1, k2) == (1, 1):
+        # negative controls: both routes fail every perturbed entry tried
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            bad = perturbed(m, i, j)
+            assert not frt_check(bad).passed and literal_exchange(bad) is not None
+
+
+@pytest.mark.parametrize("make", [lambda: untwisted(2), cg_twist], ids=["gl2", "gl3-cg"])
+def test_perturbed_T_fails_t_is_product(make):
+    m = build_T(make())
+    rep = frt_check(perturbed(m, 1, 2))
+    assert not rep.passed and rep.witness["premise"] == "t_is_product"
+    assert rep.witness["coords"] and rep.witness["lhs"] != rep.witness["rhs"]
+    want = {**CERTIFIED["premises"], "t_is_product": False}
+    assert rep.details == {**CERTIFIED, "premises": want}
+
+
+def shifted(square):
+    """A copy of an operator square with one entry of its (1, 1) block moved."""
+    blocks = [[b.copy() for b in row] for row in square.entries]
+    blocks[0][0].entries[0][0] = blocks[0][0].entries[0][0] + square.field.one
+    return NCSquare(blocks, square.field)
+
+
+@pytest.mark.parametrize(
+    "name, inner, premise",
+    [("l_plus", l_plus, "rll_plus"), ("l_minus", l_minus, "rll_minus")],
+)
+def test_perturbed_factor_fails_its_rll_premise(monkeypatch, name, inner, premise):
+    # build_T reads the same binding, so T is the product of the perturbed
+    # factor and only the RLL relation can tell
+    monkeypatch.setattr(f"qdq.frt.{name}", lambda r, k: shifted(inner(r, k)))
+    rep = frt_check(build_T(cg_twist()))
+    assert not rep.passed and rep.witness["premise"] == premise
+    assert "coords" in rep.witness and rep.witness["lhs"] != rep.witness["rhs"]
+    assert rep.details["premises"] == {**CERTIFIED["premises"], premise: False}
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1)])
+def test_frt_check_never_embeds_on_all_four_spaces(monkeypatch, k1, k2):
+    # every operator the certificate embeds lives on V (x) V (x) W1, on
+    # V (x) V (x) W2 or on V (x) W1 (x) W2, never on V (x) V (x) W1 (x) W2
+    m = build_T(cg_twist(), k1, k2)
+    sizes = []
+    inner = qdq.linalg.leg_embed
+
+    def recording(op, legs, n, k):
+        sizes.append(k)
+        return inner(op, legs, n, k)
+
+    for mod in (qdq.linalg, qdq.rmatrix, qdq.twist, qdq.frt):
+        monkeypatch.setattr(mod, "leg_embed", recording)
+    assert frt_check(m).passed
+    assert sizes and max(sizes) <= 2 + max(k1, k2)
 
 
 def test_f_of_D_image_untwisted():

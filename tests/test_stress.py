@@ -20,6 +20,16 @@ def test_gl5_coaction_on_every_row():
 
 
 @pytest.mark.slow
+def test_gl5_two_root_battery_k21():
+    # the k >= 2 probe at gl5: T acts on 5^3 dimensions
+    tw = build_twist(BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4}))
+    rep = verify_factorization(tw, k1=2, k2=1, sigmas=all_sigmas(5)[:8])
+    subs = rep.details["checks"]
+    assert rep.passed and rep.params["sigmas"] == 8
+    assert all(sub.passed for sub in subs), [sub.check for sub in subs if not sub.passed]
+
+
+@pytest.mark.slow
 def test_gl6_two_root_battery():
     # the largest case settled: its wedge is one kernel over 6^6 coordinates
     tw = build_twist(BDTriple.make(6, [1, 2], [3, 4], {1: 3, 2: 4}))

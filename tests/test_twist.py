@@ -5,7 +5,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows
+from test_linalg import dense_kernel
 
 import qdq.twist
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
@@ -361,6 +363,36 @@ def test_residuals_match_the_hand_written_conditions():
     # tau(a) = a +- 1 puts two terms of a mixed moment on one position
     assert any(abs(a - b) == 1 for t in TRIPLES_UP_TO_5 for a, b in t.tau_pairs)
     assert nonempty > 500
+
+
+def oracle_cartan_data(t):
+    """The dense routes behind cartan_data: Z = B_tau Ginv B^T as a triple
+    sum over every index pair, and h0 as the dense kernel of the rows
+    alpha_i - alpha_tau(i)."""
+    n, tau = t.n, t.tau
+
+    def alpha(i):
+        return [Q(1) if k == i - 1 else Q(-1) if k == i else Q(0) for k in range(n)]
+
+    a1 = [alpha(i) for i in t.gamma1]
+    a1_tau = [alpha(tau[i]) for i in t.gamma1]
+    gram = [[sum((x * y for x, y in zip(u, v)), Q(0)) for v in a1] for u in a1]
+    ginv = dense_invert_grid(gram, Q(0), Q(1))
+    r = range(len(a1))
+    z = [
+        [sum((a1_tau[i][k] * ginv[i][j] * a1[j][l] for i in r for j in r), Q(0))
+         for l in range(n)]
+        for k in range(n)
+    ]
+    eqs = [[x - y for x, y in zip(alpha(i), alpha(tau[i]))] for i in t.gamma1]
+    return z, dense_kernel(eqs, n, Q(0), Q(1))
+
+
+def test_cartan_data_matches_the_dense_oracle():
+    assert len(TRIPLES_UP_TO_5) >= 25
+    for t in TRIPLES_UP_TO_5:
+        cd = cartan_data(t)
+        assert (cd.z_grid, cd.h0_basis) == oracle_cartan_data(t), t
 
 
 def oracle_in_span(vec, basis_rows, n):
