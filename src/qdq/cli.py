@@ -41,7 +41,6 @@ from .twist import (
     build_twist,
     cocycle_check,
     solve_theta,
-    theta_residuals,
 )
 
 EXIT_PASS = 0
@@ -211,7 +210,6 @@ def cmd_std_r(args) -> int:
 def cmd_solve_theta(args) -> int:
     triple = _triple_from_args(args)
     sol = solve_theta(triple)
-    residuals = theta_residuals(triple, sol.theta)
     payload = {
         "n": args.n,
         "g1": list(triple.gamma1),
@@ -221,7 +219,7 @@ def cmd_solve_theta(args) -> int:
         "y": grid_to_json(sol.y),
         "residuals": [
             {"condition": c, "root": a, "index": i, "value": str(v)}
-            for (c, a, i, v) in residuals
+            for (c, a, i, v) in sol.residuals
         ],
     }
     _emit(payload, args)

@@ -17,8 +17,9 @@ The verifier checks, all by exact matrix identities:
     relation and the one-dimensional wedge,
   * D equals the closed-form grouplike image built from the twist's
     Cartan exponents,
-  * D equals every sigma-ordered product of corner quasiminors of T,
-    whose factors commute pairwise.
+  * D equals every sigma-ordered product of corner quasiminors of T:
+    the factors commute pairwise, so one product stands for every
+    ordering.
 """
 
 from __future__ import annotations
@@ -220,6 +221,36 @@ def factors_commute(m: FRTModel, factors=None) -> Report:
     return rep
 
 
+def detsigma_consistency(m: FRTModel, sigmas, factors, commute: bool):
+    """det_sigma agrees across the orderings; returns (report, reference).
+
+    The reference is det_sigma for sigmas[0].  When the factors commute
+    pairwise (commute, the verdict of factors_commute), a product of them
+    does not depend on its order, so the reference stands for every
+    ordering and no other is multiplied out: the details name this route,
+    its premise and the orderings it covers.  Otherwise each ordering is
+    multiplied out and compared with the reference, and the witness names
+    the first sigma that differs.
+    """
+    ref, _ = detsigma_T(m, sigmas[0], factors)
+    rep = Report("det-sigma-consistency", {"sigmas": len(sigmas)}, True)
+    if commute:
+        rep.details = {
+            "route": "commuting-factors certificate",
+            "premises": {"factors_commute": True},
+            "orderings": len(sigmas),
+        }
+        return rep, ref
+    for sigma in sigmas[1:]:
+        val, _ = detsigma_T(m, sigma, factors)
+        loc = first_mismatch(ref, val)
+        if loc is not None:
+            rep.passed = False
+            rep.witness = mismatch_witness(loc, sigma=list(sigma))
+            break
+    return rep, ref
+
+
 @timed
 def verify_factorization(
     tw: Twist, k1: int = 1, k2: int = 1, sigmas=None
@@ -229,9 +260,10 @@ def verify_factorization(
     Aggregates: Yang-Baxter and Hecke checks for the twisted braiding, the
     twist cocycle, the exchange relations for T, commutativity of the
     quasiminor factors, agreement of det_sigma across the requested
-    orderings, the coaction certificate for the determinant image D
-    (which fails, naming the premise, when the exchange relations fail),
-    and equality of D with det_sigma and with the grouplike image.
+    orderings (certified by that commutativity), the coaction certificate
+    for the determinant image D (which fails, naming the premise, when the
+    exchange relations fail), and equality of D with det_sigma and with
+    the grouplike image.
 
     One clock stamps each subreport from the end of the one before, so a
     check's ms counts the inputs built for it (T in frt, the factors in
@@ -265,17 +297,9 @@ def verify_factorization(
     frt_rep = clock.stamp(frt_check(model))
     subreports.append(frt_rep)
     factors = detsigma_factors(model)
-    subreports.append(clock.stamp(factors_commute(model, factors)))
-
-    ref, _ = detsigma_T(model, sigmas[0], factors)
-    sigma_rep = Report("det-sigma-consistency", {"sigmas": len(sigmas)}, True)
-    for sigma in sigmas[1:]:
-        val, _ = detsigma_T(model, sigma, factors)
-        loc = first_mismatch(ref, val)
-        if loc is not None:
-            sigma_rep.passed = False
-            sigma_rep.witness = mismatch_witness(loc, sigma=list(sigma))
-            break
+    commute_rep = clock.stamp(factors_commute(model, factors))
+    subreports.append(commute_rep)
+    sigma_rep, ref = detsigma_consistency(model, sigmas, factors, commute_rep.passed)
     subreports.append(clock.stamp(sigma_rep))
 
     frt_ok = frt_rep.passed

@@ -308,6 +308,27 @@ def _make(num, den, field) -> RatFunc:
 _ONE_DEN = (_Q1,)
 
 
+def _mul_cross_cancel(n1, d1, n2, d2):
+    """Canonical (num, den) of (n1/d1)(n2/d2), both canonical, by cancelling
+    n1 against d2 and n2 against d1: factors stay small and no final gcd is
+    needed."""
+    g1 = _pgcd(n1, d2)
+    if len(g1) > 1 or g1[0] != 1:
+        n1 = _pdiv_exact(n1, g1)
+        d2 = _pdiv_exact(d2, g1)
+    g2 = _pgcd(n2, d1)
+    if len(g2) > 1 or g2[0] != 1:
+        n2 = _pdiv_exact(n2, g2)
+        d1 = _pdiv_exact(d1, g2)
+    num = _pmul(n1, n2)
+    den = _pmul(d1, d2)
+    lc = den[-1]
+    if lc != 1:
+        num = tuple(c / lc for c in num)
+        den = tuple(c / lc for c in den)
+    return num, den
+
+
 class RatFunc:
     """Element of Q(s) in canonical form.
 
@@ -395,22 +416,14 @@ class RatFunc:
             return self.field.zero
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        # cross-cancellation keeps factors small and avoids a final gcd
-        g1 = _pgcd(n1, d2)
-        if len(g1) > 1 or g1[0] != 1:
-            n1 = _pdiv_exact(n1, g1)
-            d2 = _pdiv_exact(d2, g1)
-        g2 = _pgcd(n2, d1)
-        if len(g2) > 1 or g2[0] != 1:
-            n2 = _pdiv_exact(n2, g2)
-            d1 = _pdiv_exact(d1, g2)
-        num = _pmul(n1, n2)
-        den = _pmul(d1, d2)
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        return RatFunc._raw(num, den, self.field)
+        if not any(d1[:-1]) and not any(d2[:-1]):
+            # Laurent values over s^a and s^b: the product over s^(a+b)
+            # cancels only by the power of s that divides its numerator
+            num = _pmul(n1, n2)
+            e = len(d1) + len(d2) - 2
+            c = min(_valuation(num), e)
+            return RatFunc._raw(num[c:], (_Q0,) * (e - c) + _ONE_DEN, self.field)
+        return RatFunc._raw(*_mul_cross_cancel(n1, d1, n2, d2), self.field)
 
     __rmul__ = __mul__
 

@@ -168,10 +168,13 @@ def cartan_data(t: BDTriple) -> CartanData:
 
 @dataclass
 class ThetaSolution:
-    """A Cartan correction Theta with its residual companion Y = Z - Theta."""
+    """A Cartan correction Theta with its residual companion Y = Z - Theta
+    and the exact residuals of the moment conditions at Theta, which the
+    solver has checked to be empty."""
 
     theta: list
     y: list
+    residuals: list
 
 
 def _grid(values, n):
@@ -221,7 +224,8 @@ def _residuals(t: BDTriple, z, theta) -> list:
     return bad
 
 
-def _solve_theta(t: BDTriple, z) -> list:
+def _solve_theta(t: BDTriple, z):
+    """(theta, residuals) for the moment system of t with Cartan grid z."""
     n = t.n
     rows, rhs = [], []
     for *_, eq, b in _moment_system(t, z):
@@ -231,8 +235,9 @@ def _solve_theta(t: BDTriple, z) -> list:
     if x is None:
         raise NoSolutionError("moment conditions are inconsistent for a valid triple")
     theta = [x[i * n : (i + 1) * n] for i in range(n)]
-    assert not _residuals(t, z, theta)
-    return theta
+    residuals = _residuals(t, z, theta)
+    assert not residuals
+    return theta, residuals
 
 
 def theta_residuals(t: BDTriple, theta) -> list:
@@ -249,9 +254,9 @@ def solve_theta(t: BDTriple) -> ThetaSolution:
     NoSolutionError as an internal fault.
     """
     z = cartan_data(t).z_grid
-    theta = _solve_theta(t, z)
+    theta, residuals = _solve_theta(t, z)
     y = [[zij - tij for zij, tij in zip(zr, tr)] for zr, tr in zip(z, theta)]
-    return ThetaSolution(theta, y)
+    return ThetaSolution(theta, y, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +332,7 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     z = cartan_data(t).z_grid
     n = t.n
     if theta is None:
-        theta = _solve_theta(t, z)
+        theta, _ = _solve_theta(t, z)
     elif isinstance(theta, ThetaSolution):
         theta = theta.theta
     theta = _grid(theta, n)
@@ -362,16 +367,23 @@ def untwisted(n: int) -> Twist:
     return build_twist(BDTriple.make(n))
 
 
-def coproduct_factors(tw: Twist, pairs: list) -> list:
+def coproduct_ops(tw: Twist) -> tuple:
+    """The operators on V (x) V that every coproduct of J is built from, in
+    product order: e^{-h Theta}, Rt = e^{hZ} J' and e^{h beta}."""
+    minus_theta = [[-v for v in row] for row in tw.theta]
+    return (cartan_exp(minus_theta, tw.field), tw.rtilde_vv,
+            cartan_exp(tw.beta, tw.field))
+
+
+def coproduct_factors(tw: Twist, pairs: list, ops=None) -> list:
     """The factors (operator on V (x) V, legs) of an iterated coproduct of J,
-    in product order: e^{-h Theta}, then Rt = e^{hZ} J', then e^{h beta},
-    each on every pair of legs.  The Cartan generators are primitive and Rt
-    obeys the hexagon identities, so pairs (a, k+1) for a = 1..k give
+    in product order: each of coproduct_ops (built here unless given) on
+    every pair of legs.  The Cartan generators are primitive and Rt obeys
+    the hexagon identities, so pairs (a, k+1) for a = 1..k give
     (D^(k-1) (x) 1)(J), pairs (1, b) for b = k+1..2 give (1 (x) D^(k-1))(J)
     and the pair (1, 2) gives J."""
-    minus_theta = [[-v for v in row] for row in tw.theta]
-    ops = (cartan_exp(minus_theta, tw.field), tw.rtilde_vv,
-           cartan_exp(tw.beta, tw.field))
+    if ops is None:
+        ops = coproduct_ops(tw)
     return [(op, legs) for op in ops for legs in pairs]
 
 
@@ -380,15 +392,16 @@ def cocycle_check(tw: Twist) -> Report:
     """Both sides of the twist coproduct identity on V (x) V (x) V.
 
     The check is pass iff (D (x) 1)(J) J12 = (1 (x) D)(J) J23 exactly, with
-    both coproducts from coproduct_factors:
+    both coproducts from coproduct_factors and one set of coproduct_ops:
 
         (D (x) 1)(J) = e^{-h(Th13 + Th23)} Rt13 Rt23 e^{h(b13 + b23)}
         (1 (x) D)(J) = e^{-h(Th13 + Th12)} Rt13 Rt12 e^{h(b13 + b12)}
     """
     n = tw.n
+    ops = coproduct_ops(tw)
 
     def side(pairs, j_legs):
-        coproduct = leg_product(coproduct_factors(tw, pairs), n, 3)
+        coproduct = leg_product(coproduct_factors(tw, pairs, ops), n, 3)
         return coproduct * leg_embed(tw.j_vv, j_legs, n, 3)
 
     lhs = side([(1, 3), (2, 3)], (1, 2))

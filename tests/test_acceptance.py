@@ -164,12 +164,12 @@ def test_gl4_battery_k21():
 def test_gl5_two_root_block_battery():
     # a twist whose diagram block has two roots: exercises the multi-term
     # unipotent part and root order 3 (the block Gram inverse has thirds)
-    done = budget("gl5 two-root block, 8 sigma", 60.0)
+    done = budget("gl5 two-root block, all 120 sigma", 60.0)
     t = BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4})
     tw = build_twist(t)
     assert tw.field.root_order == 3
-    rep = assert_full_battery(tw, sigmas=all_sigmas(5)[:8])
-    assert rep.params["sigmas"] == 8
+    rep = assert_full_battery(tw, sigmas=all_sigmas(5))
+    assert rep.params["sigmas"] == 120
     done()
 
 

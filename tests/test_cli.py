@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+import qdq.twist
 from qdq.cli import EXIT_INTERNAL, run
 from qdq.frt import build_T, perturbed
 from qdq.io_json import matrix_from_json, ncsquare_to_json
@@ -41,6 +43,24 @@ def test_solve_theta_cli(capsys):
     assert len(obj["theta"]) == 3
 
 
+def test_solve_theta_cli_derives_and_checks_once(capsys, monkeypatch):
+    # the CLI prints the residuals the solve computed: one validation of
+    # the triple, one Cartan derivation and one residual evaluation
+    calls = Counter()
+    for name in ("validate_triple", "cartan_data", "_residuals"):
+        inner = getattr(qdq.twist, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(qdq.twist, name, counted)
+    argv = ["solve-theta", "--n", "5", "--g1", "1,2", "--g2", "3,4", "--tau", "1>3,2>4"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["residuals"] == []
+    assert calls == {"validate_triple": 1, "cartan_data": 1, "_residuals": 1}
+
+
 def test_check_main_untwisted(capsys):
     code, out, _ = invoke(capsys, "check", "main", "--n", "2")
     assert code == 0
@@ -56,6 +76,8 @@ def test_check_main_text_format(capsys):
     assert lines and all(line.endswith(" ms") or " ms  [" in line for line in lines)
     (cert,) = [line for line in lines if "qdet-coaction" in line]
     assert cert.endswith("[one-row certificate]")
+    (cert,) = [line for line in lines if "det-sigma-consistency" in line]
+    assert cert.endswith("[commuting-factors certificate]")
 
 
 def test_text_format_names_the_failed_premise(capsys, monkeypatch):
@@ -582,21 +604,32 @@ def test_cli_outputs_golden_digest(capsys, tmp_path):
     runs.append((["check", "cocycle", *cg, "--theta", str(bad)], 1))
     payload = []
     certified = {
-        "route": "coproduct certificate",
-        "premises": {"rll_plus": True, "rll_minus": True, "t_is_product": True},
+        "frt": {
+            "route": "coproduct certificate",
+            "premises": {"rll_plus": True, "rll_minus": True, "t_is_product": True},
+        },
+        "det-sigma-consistency": {
+            "route": "commuting-factors certificate",
+            "premises": {"factors_commute": True},
+        },
     }
     for argv, want in runs:
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (want, ""), argv
         label = [a if a != str(bad) else "theta.json" for a in argv]
         obj = _strip_ms(json.loads(out))
-        # the digest predates the frt certificate: pop exactly its keys
+        # the digest predates the frt and det-sigma certificates: pop
+        # exactly their keys
         subs = obj.get("details", {}).get("checks", [])
-        frt_subs = [sub for sub in subs if sub["check"] == "frt"]
-        assert len(frt_subs) == (argv[:2] == ["check", "main"]), argv
-        for sub in frt_subs:
-            assert {k: sub["details"].pop(k) for k in certified} == certified
-            assert sub["details"] == {}
+        for check, keys in certified.items():
+            cert_subs = [sub for sub in subs if sub["check"] == check]
+            assert len(cert_subs) == (argv[:2] == ["check", "main"]), argv
+            for sub in cert_subs:
+                if check == "det-sigma-consistency":
+                    orderings = sub["details"].pop("orderings")
+                    assert orderings == sub["params"]["sigmas"], argv
+                assert {k: sub["details"].pop(k) for k in keys} == keys
+                assert sub["details"] == {}
         payload.append([label, code, obj])
     assert "coords" in payload[-1][2]["witness"]
     assert len(payload) == 33

@@ -15,6 +15,7 @@ from qdq.frt import (
     FRTModel,
     build_T,
     detsigma_T,
+    detsigma_consistency,
     detsigma_factors,
     f_of_D_image,
     factors_commute,
@@ -24,6 +25,7 @@ from qdq.frt import (
     verify_factorization,
 )
 from qdq.quasidet import NCSquare, all_sigmas, quasideterminant
+from qdq.report import mismatch_witness
 from qdq.rmatrix import l_minus, l_plus, r_hat, wedge_coefficients, wedge_top
 from qdq.scalars import ScalarField
 from qdq.twist import BDTriple, build_twist, cartan_data, untwisted
@@ -376,6 +378,92 @@ def test_factors_commute_fails_generic():
     m = FRTModel(tw, 1, 1, NCSquare(blocks, f))
     rep = factors_commute(m)
     assert not rep.passed and rep.witness
+
+
+def literal_orderings(m, sigmas, factors):
+    """Oracle: (passed, reference, witness) of det_sigma multiplied out for
+    every ordering and compared with the first, the loop that the
+    commuting-factors certificate replaced."""
+    ref, _ = detsigma_T(m, sigmas[0], factors)
+    for sigma in sigmas[1:]:
+        val, _ = detsigma_T(m, sigma, factors)
+        loc = first_mismatch(ref, val)
+        if loc is not None:
+            return False, ref, mismatch_witness(loc, sigma=list(sigma))
+    return True, ref, None
+
+
+def off_diagonal_shift(m):
+    """A copy of the model with entry (1, 2) of T_11 shifted by 1: T is no
+    longer an FRT model, and its corner factors stop commuting."""
+    blocks = [[b.copy() for b in row] for row in m.t_blocks.entries]
+    blocks[0][0].entries[0][1] = blocks[0][0].entries[0][1] + m.field.one
+    return FRTModel(m.twist, m.k1, m.k2, NCSquare(blocks, m.field))
+
+
+@pytest.mark.parametrize(
+    "make, k1, k2",
+    [
+        (lambda: untwisted(2), 1, 1),
+        (lambda: untwisted(3), 1, 1),
+        (cg_twist, 1, 1),
+        (lambda: build_twist(CG, CG_THETA, CG_BETA), 1, 1),
+        (gl4_with_beta, 1, 1),
+        (gl4_with_beta, 2, 1),
+    ],
+    ids=["gl2", "gl3", "gl3-cg", "gl3-cg-beta", "gl4-beta-k11", "gl4-beta-k21"],
+)
+def test_orderings_certificate_agrees_with_the_literal_loop(make, k1, k2):
+    m = build_T(make(), k1, k2)
+    sigmas = all_sigmas(m.n)
+    factors = detsigma_factors(m)
+    assert factors_commute(m, factors).passed
+    rep, ref = detsigma_consistency(m, sigmas, factors, True)
+    assert (rep.passed, ref, rep.witness) == literal_orderings(m, sigmas, factors)
+    assert rep.details == {
+        "route": "commuting-factors certificate",
+        "premises": {"factors_commute": True},
+        "orderings": len(sigmas),
+    }
+
+
+@pytest.mark.parametrize("make", [lambda: untwisted(2), cg_twist], ids=["gl2", "gl3-cg"])
+def test_noncommuting_factors_multiply_every_ordering_out(monkeypatch, make):
+    # a perturbed T fails factors-commute, and det-sigma-consistency then
+    # fails with the witness of the literal loop, naming the first sigma
+    tw = make()
+    m = off_diagonal_shift(build_T(tw))
+    sigmas = all_sigmas(m.n)
+    factors = detsigma_factors(m)
+    assert not factors_commute(m, factors).passed
+    want = literal_orderings(m, sigmas, factors)
+    assert not want[0] and want[2]["sigma"] == list(sigmas[1])
+    rep, ref = detsigma_consistency(m, sigmas, factors, False)
+    assert (rep.passed, ref, rep.witness) == want and rep.details == {}
+
+    monkeypatch.setattr("qdq.frt.build_T", lambda tw, k1, k2: m)
+    checks = {r.check: r for r in verify_factorization(tw).details["checks"]}
+    assert not checks["factors-commute"].passed
+    sub = checks["det-sigma-consistency"]
+    assert (sub.passed, sub.witness, sub.details) == (False, want[2], {})
+
+
+@pytest.mark.parametrize("count", [1, 2, 6])
+def test_commuting_factors_multiply_one_ordering(monkeypatch, count):
+    # the certificate multiplies out the reference ordering only, however
+    # many orderings it covers
+    inner = qdq.frt.det_sigma
+    calls = []
+
+    def counted(x, sigma, factors=None):
+        calls.append(sigma)
+        return inner(x, sigma, factors)
+
+    monkeypatch.setattr(qdq.frt, "det_sigma", counted)
+    sigmas = all_sigmas(3)[:count]
+    rep = verify_factorization(cg_twist(), sigmas=sigmas)
+    assert rep.passed and rep.params["sigmas"] == count
+    assert calls == [sigmas[0]]
 
 
 def test_verify_factorization_untwisted_n2():

@@ -13,7 +13,9 @@ from qdq.errors import (
 )
 from qdq.scalars import (
     Q,
+    RatFunc,
     ScalarField,
+    _mul_cross_cancel,
     _pdiv_exact,
     _pdivmod,
     _ptrim,
@@ -201,6 +203,25 @@ def test_monomial_shift_matches_long_division(cs, v, exact):
             _pdiv_exact(a, b)
     else:
         assert _pdiv_exact(a, b) == q
+
+
+@st.composite
+def laurents(draw, field=F1):
+    """A nonzero Laurent value: any numerator, leading zeros allowed, over s^a."""
+    num = draw(st.lists(small_rationals, min_size=1, max_size=5).filter(any))
+    a = draw(st.integers(min_value=0, max_value=4))
+    return field.from_coeffs(num, [0] * a + [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurents(), laurents())
+def test_laurent_product_matches_cross_cancellation(x, y):
+    # the shift-only product of two Laurent values is the canonical form
+    # the gcd route gives, tuple for tuple, and hashes alike
+    prod = x * y
+    num, den = _mul_cross_cancel(x.num, x.den, y.num, y.den)
+    assert (prod.num, prod.den) == (num, den)
+    assert hash(prod) == hash(RatFunc._raw(num, den, F1))
 
 
 def test_pow():

@@ -23,19 +23,22 @@ def test_gl5_coaction_on_every_row():
 def test_gl5_two_root_battery_k21():
     # the k >= 2 probe at gl5: T acts on 5^3 dimensions
     tw = build_twist(BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4}))
-    rep = verify_factorization(tw, k1=2, k2=1, sigmas=all_sigmas(5)[:8])
+    rep = verify_factorization(tw, k1=2, k2=1, sigmas=all_sigmas(5))
     subs = rep.details["checks"]
-    assert rep.passed and rep.params["sigmas"] == 8
+    assert rep.passed and rep.params["sigmas"] == 120
     assert all(sub.passed for sub in subs), [sub.check for sub in subs if not sub.passed]
 
 
 @pytest.mark.slow
 def test_gl6_two_root_battery():
-    # the largest case settled: its wedge is one kernel over 6^6 coordinates
+    # the largest case settled: its wedge is one kernel over 6^6 coordinates,
+    # and the commuting factors certify all 720 orderings from one product
     tw = build_twist(BDTriple.make(6, [1, 2], [3, 4], {1: 3, 2: 4}))
-    rep = verify_factorization(tw, sigmas=all_sigmas(6)[:8])
+    rep = verify_factorization(tw, sigmas=all_sigmas(6))
     subs = rep.details["checks"]
-    assert rep.passed and rep.params["sigmas"] == 8
+    assert rep.passed and rep.params["sigmas"] == 720
     assert len(subs) > 1 and all(sub.passed for sub in subs), [
         sub.check for sub in subs if not sub.passed
     ]
+    (orderings,) = [sub for sub in subs if sub.check == "det-sigma-consistency"]
+    assert orderings.ms < 500, orderings.ms

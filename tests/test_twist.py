@@ -598,7 +598,7 @@ def test_iterated_twist_on_four_legs():
     assert lhs != rhs
 
 
-def test_cocycle_builds_at_most_four_cartan_exponentials(monkeypatch):
+def test_cocycle_builds_at_most_two_cartan_exponentials(monkeypatch):
     tw = build_twist(CG, CG_THETA, CG_BETA)
     calls = []
 
@@ -608,4 +608,4 @@ def test_cocycle_builds_at_most_four_cartan_exponentials(monkeypatch):
 
     monkeypatch.setattr(qdq.twist, "cartan_exp", counted)
     assert cocycle_check(tw).passed
-    assert 0 < len(calls) <= 4
+    assert 0 < len(calls) <= 2
