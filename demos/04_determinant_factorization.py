@@ -16,8 +16,8 @@ from qdq import (
     all_sigmas,
     build_T,
     build_twist,
-    detsigma_T,
-    detsigma_factors,
+    corner_factors,
+    det_sigma,
     f_of_D_image,
     factors_commute,
     frt_check,
@@ -33,10 +33,10 @@ print("exchange relations hold:", frt_check(model).passed)
 D = qdet_coaction(model)
 print("quantum determinant image D (diagonal):",
       [str(D.entries[i][i]) for i in range(4)])
-facts = detsigma_factors(model)
+facts = corner_factors(model.t_blocks)
 print("factors commute:", factors_commute(model, facts).passed)
 for sigma in all_sigmas(2):
-    val, _ = detsigma_T(model, sigma, facts)
+    val = det_sigma(model.t_blocks, sigma, facts)
     print(f"  det_sigma, sigma={sigma}: equals D?", val == D)
 
 print("\n=== Cremmer-Gervais gl_3 ===")
@@ -49,9 +49,9 @@ D = qdet_coaction(model)
 print("D is diagonal with entries:")
 print("  ", [str(D.entries[i][i]) for i in range(9)])
 print("closed form agrees:", D == f_of_D_image(tw))
-facts = detsigma_factors(model)
+facts = corner_factors(model.t_blocks)
 print("factors commute:", factors_commute(model, facts).passed)
-ok = all(detsigma_T(model, s, facts)[0] == D for s in all_sigmas(3))
+ok = all(det_sigma(model.t_blocks, s, facts) == D for s in all_sigmas(3))
 print("all 6 orderings give D:", ok)
 
 print("\n=== one-call batteries ===")

@@ -23,8 +23,6 @@ from .errors import (
 from .frt import (
     FRTModel,
     build_T,
-    detsigma_T,
-    detsigma_factors,
     f_of_D_image,
     factors_commute,
     frt_check,

@@ -41,6 +41,7 @@ from .rmatrix import (
     l_minus,
     l_plus,
     r_hat,
+    rll_sides,
     wedge_coefficients,
     wedge_top,
     weight_exp,
@@ -78,21 +79,16 @@ def _t_flat(a: Matrix, b: Matrix, n: int, k1: int, k2: int) -> Matrix:
     return a_emb * leg_embed(b, (1, *range(k1 + 2, ktot + 1)), n, ktot)
 
 
-def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
-    """T as the product of L+ and L- embedded along the shared matrix leg."""
+def _check_powers(k1: int, k2: int):
     if k1 < 1 or k2 < 1:
         raise ValueError("tensor powers k1, k2 must be at least 1")
+
+
+def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
+    """T as the product of L+ and L- embedded along the shared matrix leg."""
+    _check_powers(k1, k2)
     a, b = l_plus(tw.r_j, k1).flatten(), l_minus(tw.r_j, k2).flatten()
     return FRTModel(tw, k1, k2, NCSquare.from_flat(_t_flat(a, b, tw.n, k1, k2), tw.n))
-
-
-def _rll_sides(r: Matrix, a: Matrix, n: int, k: int):
-    """R12 A13 A23 and A23 A13 R12 on V (x) V (x) V^(x)k."""
-    w_legs = tuple(range(3, k + 3))
-    r12 = leg_embed(r, (1, 2), n, k + 2)
-    a13 = leg_embed(a, (1, *w_legs), n, k + 2)
-    a23 = leg_embed(a, (2, *w_legs), n, k + 2)
-    return r12 * a13 * a23, a23 * a13 * r12
 
 
 @timed
@@ -115,8 +111,8 @@ def frt_check(m: FRTModel) -> Report:
     n, r, k1, k2 = m.n, m.twist.r_j, m.k1, m.k2
     a, b = l_plus(r, k1).flatten(), l_minus(r, k2).flatten()
     locs = {
-        "rll_plus": first_mismatch(*_rll_sides(r.mat, a, n, k1)),
-        "rll_minus": first_mismatch(*_rll_sides(r.mat, b, n, k2)),
+        "rll_plus": first_mismatch(*rll_sides(r.mat, a, n, k1)),
+        "rll_minus": first_mismatch(*rll_sides(r.mat, b, n, k2)),
         "t_is_product": first_mismatch(m.t_blocks.flatten(), _t_flat(a, b, n, k1, k2)),
     }
     premises = {name: loc is None for name, loc in locs.items()}
@@ -192,24 +188,11 @@ def f_of_D_image(tw: Twist, k1: int = 1, k2: int = 1) -> Matrix:
     )
 
 
-def detsigma_factors(m: FRTModel):
-    """Corner quasiminor factors of T, shared across all orderings."""
-    return corner_factors(m.t_blocks)
-
-
-def detsigma_T(m: FRTModel, sigma, factors=None):
-    """det_sigma of T in the operator entry ring; returns (value, factors)."""
-    sigma = check_sigma(sigma, m.n)
-    if factors is None:
-        factors = corner_factors(m.t_blocks)
-    return det_sigma(m.t_blocks, sigma, factors=factors), factors
-
-
 @timed
 def factors_commute(m: FRTModel, factors=None) -> Report:
     """Pairwise commutators of the quasiminor factors vanish exactly."""
     if factors is None:
-        factors = detsigma_factors(m)
+        factors = corner_factors(m.t_blocks)
     rep = Report("factors-commute", {"n": m.n, "k1": m.k1, "k2": m.k2}, True)
     for a in range(len(factors)):
         for b in range(a + 1, len(factors)):
@@ -232,7 +215,7 @@ def detsigma_consistency(m: FRTModel, sigmas, factors, commute: bool):
     multiplied out and compared with the reference, and the witness names
     the first sigma that differs.
     """
-    ref, _ = detsigma_T(m, sigmas[0], factors)
+    ref = det_sigma(m.t_blocks, sigmas[0], factors)
     rep = Report("det-sigma-consistency", {"sigmas": len(sigmas)}, True)
     if commute:
         rep.details = {
@@ -242,8 +225,7 @@ def detsigma_consistency(m: FRTModel, sigmas, factors, commute: bool):
         }
         return rep, ref
     for sigma in sigmas[1:]:
-        val, _ = detsigma_T(m, sigma, factors)
-        loc = first_mismatch(ref, val)
+        loc = first_mismatch(ref, det_sigma(m.t_blocks, sigma, factors))
         if loc is not None:
             rep.passed = False
             rep.witness = mismatch_witness(loc, sigma=list(sigma))
@@ -277,6 +259,7 @@ def verify_factorization(
     sigmas = [check_sigma(s, n) for s in sigmas]
     if not sigmas:
         raise ValueError("sigmas names no ordering")
+    _check_powers(k1, k2)
     params = {
         "n": n,
         "g1": tw.triple.gamma1,
@@ -296,7 +279,7 @@ def verify_factorization(
     model = build_T(tw, k1, k2)
     frt_rep = clock.stamp(frt_check(model))
     subreports.append(frt_rep)
-    factors = detsigma_factors(model)
+    factors = corner_factors(model.t_blocks)
     commute_rep = clock.stamp(factors_commute(model, factors))
     subreports.append(commute_rep)
     sigma_rep, ref = detsigma_consistency(model, sigmas, factors, commute_rep.passed)

@@ -417,14 +417,15 @@ def invert_grid(rows, zero, one):
     return [[reduced[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
-def solve_particular(rows, rhs, zero, one):
+def solve_particular(rows, ncols, rhs, zero, one):
     """One exact solution of A x = b with free variables set to zero.
 
-    The right-hand side is the last pivot-eligible column of [A | b]; the
-    system is inconsistent, and the result None, when it holds a pivot.
+    A has ncols columns and its rows are {column: value}, which are copied,
+    not reduced in place.  The right-hand side is the last pivot-eligible
+    column of [A | b]; the system is inconsistent, and the result None,
+    when it holds a pivot.
     """
-    ncols = len(rows[0]) if rows else 0
-    aug = _dict_rows(rows)
+    aug = [dict(row) for row in rows]
     for row, b in zip(aug, rhs):
         if b:
             row[ncols] = b

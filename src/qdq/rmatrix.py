@@ -64,16 +64,21 @@ def r_hat(r: RMatrix) -> Matrix:
     return flip_perm(r.n, r.field) * r.mat
 
 
+def rll_sides(r: Matrix, a: Matrix, n: int, k: int):
+    """R12 A13 A23 and A23 A13 R12 on V (x) V (x) V^(x)k, A acting on
+    V (x) V^(x)k; the RLL relation holds when they are equal."""
+    w_legs = tuple(range(3, k + 3))
+    r12 = leg_embed(r, (1, 2), n, k + 2)
+    a13 = leg_embed(a, (1, *w_legs), n, k + 2)
+    a23 = leg_embed(a, (2, *w_legs), n, k + 2)
+    return r12 * a13 * a23, a23 * a13 * r12
+
+
 @timed
 def ybe_check(r: RMatrix) -> Report:
-    """R12 R13 R23 = R23 R13 R12 on V^(x)3, exactly."""
-    n = r.n
-    r12 = leg_embed(r.mat, (1, 2), n, 3)
-    r13 = leg_embed(r.mat, (1, 3), n, 3)
-    r23 = leg_embed(r.mat, (2, 3), n, 3)
-    lhs = r12 * r13 * r23
-    rhs = r23 * r13 * r12
-    return equality_report("ybe", {"n": n}, lhs, rhs)
+    """R12 R13 R23 = R23 R13 R12 on V^(x)3, exactly: the RLL relation of
+    L = R on V (x) V."""
+    return equality_report("ybe", {"n": r.n}, *rll_sides(r.mat, r.mat, r.n, 1))
 
 
 @timed

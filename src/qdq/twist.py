@@ -13,8 +13,9 @@ build, entirely at the level of operators on V (x) V:
 
   * the unipotent part J' = 1 + (q - 1/q) sum E_{tau(i), tau(j)} (x) E_{j, i}
     over pairs i < j in each block's vertex interval,
-  * the twist J = e^{h(Z - Theta)} J' e^{h beta} with beta an antisymmetric
-    Cartan tensor supported on h0 (x) h0, h0 = {y : (y, x) = (y, tau(x))},
+  * the twist J = e^{-h Theta} Rt e^{h beta}, Rt = e^{hZ} J', with beta an
+    antisymmetric Cartan tensor supported on h0 (x) h0,
+    h0 = {y : (y, x) = (y, tau(x))},
   * the twisted braiding R_J = flip J^{-1} flip . R . J.
 
 The twist property itself is never assumed: cocycle_check evaluates both
@@ -229,9 +230,9 @@ def _solve_theta(t: BDTriple, z):
     n = t.n
     rows, rhs = [], []
     for *_, eq, b in _moment_system(t, z):
-        rows.append([eq.get(p, _Q0) for p in range(n * n)])
+        rows.append(eq)
         rhs.append(b)
-    x = solve_particular(rows, rhs, _Q0, _Q1) if rows else [_Q0] * (n * n)
+    x = solve_particular(rows, n * n, rhs, _Q0, _Q1)
     if x is None:
         raise NoSolutionError("moment conditions are inconsistent for a valid triple")
     theta = [x[i * n : (i + 1) * n] for i in range(n)]
@@ -273,8 +274,8 @@ class Twist:
     a_grid: list  # Cartan exponent of J0, equal to Y + beta
     field: ScalarField
     jprime_vv: Matrix
+    j_factors: tuple  # e^{-h Theta}, Rt = e^{hZ} J', e^{h beta}: J's factors
     j_vv: Matrix
-    rtilde_vv: Matrix  # e^{hZ} J', the mixed image of the sub-R-matrix
     r_j: RMatrix
 
     @property
@@ -344,8 +345,10 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     M = lcm_denominators(v for g in (z, theta, beta) for row in g for v in row)
     field = ScalarField(M)
     jp = jprime_matrix(t, field)
-    j_vv = cartan_exp(y, field) * jp * cartan_exp(beta, field)
-    rtilde = cartan_exp(z, field) * jp
+    minus_theta = [[-v for v in row] for row in theta]
+    j_factors = (cartan_exp(minus_theta, field), cartan_exp(z, field) * jp,
+                 cartan_exp(beta, field))
+    j_vv = j_factors[0] * j_factors[1] * j_factors[2]
     std = standard_r(n, field)
     p = flip_perm(n, field)
     rj_mat = p * gauss_invert(j_vv) * p * std.mat * j_vv
@@ -356,8 +359,8 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
         a_grid=a_grid,
         field=field,
         jprime_vv=jp,
+        j_factors=j_factors,
         j_vv=j_vv,
-        rtilde_vv=rtilde,
         r_j=RMatrix(n, rj_mat, field),
     )
 
@@ -367,24 +370,14 @@ def untwisted(n: int) -> Twist:
     return build_twist(BDTriple.make(n))
 
 
-def coproduct_ops(tw: Twist) -> tuple:
-    """The operators on V (x) V that every coproduct of J is built from, in
-    product order: e^{-h Theta}, Rt = e^{hZ} J' and e^{h beta}."""
-    minus_theta = [[-v for v in row] for row in tw.theta]
-    return (cartan_exp(minus_theta, tw.field), tw.rtilde_vv,
-            cartan_exp(tw.beta, tw.field))
-
-
-def coproduct_factors(tw: Twist, pairs: list, ops=None) -> list:
+def coproduct_factors(tw: Twist, pairs: list) -> list:
     """The factors (operator on V (x) V, legs) of an iterated coproduct of J,
-    in product order: each of coproduct_ops (built here unless given) on
-    every pair of legs.  The Cartan generators are primitive and Rt obeys
-    the hexagon identities, so pairs (a, k+1) for a = 1..k give
+    in product order: each of tw.j_factors on every pair of legs.  The
+    Cartan generators are primitive and Rt obeys the hexagon identities,
+    so pairs (a, k+1) for a = 1..k give
     (D^(k-1) (x) 1)(J), pairs (1, b) for b = k+1..2 give (1 (x) D^(k-1))(J)
     and the pair (1, 2) gives J."""
-    if ops is None:
-        ops = coproduct_ops(tw)
-    return [(op, legs) for op in ops for legs in pairs]
+    return [(op, legs) for op in tw.j_factors for legs in pairs]
 
 
 @timed
@@ -392,16 +385,15 @@ def cocycle_check(tw: Twist) -> Report:
     """Both sides of the twist coproduct identity on V (x) V (x) V.
 
     The check is pass iff (D (x) 1)(J) J12 = (1 (x) D)(J) J23 exactly, with
-    both coproducts from coproduct_factors and one set of coproduct_ops:
+    both coproducts from coproduct_factors:
 
         (D (x) 1)(J) = e^{-h(Th13 + Th23)} Rt13 Rt23 e^{h(b13 + b23)}
         (1 (x) D)(J) = e^{-h(Th13 + Th12)} Rt13 Rt12 e^{h(b13 + b12)}
     """
     n = tw.n
-    ops = coproduct_ops(tw)
 
     def side(pairs, j_legs):
-        coproduct = leg_product(coproduct_factors(tw, pairs, ops), n, 3)
+        coproduct = leg_product(coproduct_factors(tw, pairs), n, 3)
         return coproduct * leg_embed(tw.j_vv, j_legs, n, 3)
 
     lhs = side([(1, 3), (2, 3)], (1, 2))

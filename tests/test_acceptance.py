@@ -13,8 +13,6 @@ from itertools import permutations
 from qdq.errors import SubmatrixSingularError
 from qdq.frt import (
     build_T,
-    detsigma_T,
-    detsigma_factors,
     f_of_D_image,
     factors_commute,
     frt_check,
@@ -26,6 +24,7 @@ from qdq.linalg import Matrix, kron
 from qdq.quasidet import (
     NCSquare,
     all_sigmas,
+    corner_factors,
     det_sigma,
     inverse_via_quasiminors,
     quasideterminant,
@@ -74,10 +73,10 @@ def test_untwisted_factorization_n2():
     tw = untwisted(2)
     model = build_T(tw)
     ident = Matrix.identity(4, tw.field)
-    factors = detsigma_factors(model)
+    factors = corner_factors(model.t_blocks)
     assert factors_commute(model, factors).passed
     for sigma in all_sigmas(2):
-        val, _ = detsigma_T(model, sigma, factors)
+        val = det_sigma(model.t_blocks, sigma, factors)
         assert val == ident
     assert qdet_coaction(model) == ident
     assert f_of_D_image(tw) == ident
@@ -89,9 +88,9 @@ def test_untwisted_factorization_n3():
     tw = untwisted(3)
     model = build_T(tw)
     ident = Matrix.identity(9, tw.field)
-    factors = detsigma_factors(model)
+    factors = corner_factors(model.t_blocks)
     assert factors_commute(model, factors).passed
-    vals = [detsigma_T(model, sigma, factors)[0] for sigma in all_sigmas(3)]
+    vals = [det_sigma(model.t_blocks, sigma, factors) for sigma in all_sigmas(3)]
     assert len(vals) == 6
     for v in vals:
         assert v == ident
@@ -127,10 +126,10 @@ def test_cremmer_gervais_gl3():
     model = build_T(tw)
     image = f_of_D_image(tw)  # recomputed from the twist's own p-vector
     assert image == _cg_expected_image(tw.field)
-    factors = detsigma_factors(model)
+    factors = corner_factors(model.t_blocks)
     assert factors_commute(model, factors).passed
     for sigma in all_sigmas(3):
-        val, _ = detsigma_T(model, sigma, factors)
+        val = det_sigma(model.t_blocks, sigma, factors)
         assert val == image
     assert qdet_coaction(model) == image
     done()

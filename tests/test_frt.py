@@ -14,9 +14,7 @@ from qdq.linalg import Matrix, first_mismatch, kron, leg_embed
 from qdq.frt import (
     FRTModel,
     build_T,
-    detsigma_T,
     detsigma_consistency,
-    detsigma_factors,
     f_of_D_image,
     factors_commute,
     frt_check,
@@ -24,7 +22,13 @@ from qdq.frt import (
     qdet_coaction,
     verify_factorization,
 )
-from qdq.quasidet import NCSquare, all_sigmas, quasideterminant
+from qdq.quasidet import (
+    NCSquare,
+    all_sigmas,
+    corner_factors,
+    det_sigma,
+    quasideterminant,
+)
 from qdq.report import mismatch_witness
 from qdq.rmatrix import l_minus, l_plus, r_hat, wedge_coefficients, wedge_top
 from qdq.scalars import ScalarField
@@ -331,7 +335,7 @@ def test_f_of_D_image_cg():
 
 def test_detsigma_untwisted_n2():
     m = build_T(untwisted(2))
-    facts = detsigma_factors(m)
+    facts = corner_factors(m.t_blocks)
     # factor list is (|T|_22, T_11) with the quasideterminant correction
     from qdq.linalg import gauss_invert
 
@@ -341,13 +345,13 @@ def test_detsigma_untwisted_n2():
     assert facts[1] == t11
     ident = Matrix.identity(4, m.field)
     for sigma in all_sigmas(2):
-        val, _ = detsigma_T(m, sigma, facts)
+        val = det_sigma(m.t_blocks, sigma, facts)
         assert val == ident
 
 
 def test_detsigma_matches_quasidet_module():
     m = build_T(untwisted(2))
-    assert detsigma_factors(m)[0] == quasideterminant(m.t_blocks, 2, 2)
+    assert corner_factors(m.t_blocks)[0] == quasideterminant(m.t_blocks, 2, 2)
 
 
 def test_factors_commute_untwisted():
@@ -384,10 +388,9 @@ def literal_orderings(m, sigmas, factors):
     """Oracle: (passed, reference, witness) of det_sigma multiplied out for
     every ordering and compared with the first, the loop that the
     commuting-factors certificate replaced."""
-    ref, _ = detsigma_T(m, sigmas[0], factors)
+    ref = det_sigma(m.t_blocks, sigmas[0], factors)
     for sigma in sigmas[1:]:
-        val, _ = detsigma_T(m, sigma, factors)
-        loc = first_mismatch(ref, val)
+        loc = first_mismatch(ref, det_sigma(m.t_blocks, sigma, factors))
         if loc is not None:
             return False, ref, mismatch_witness(loc, sigma=list(sigma))
     return True, ref, None
@@ -416,7 +419,7 @@ def off_diagonal_shift(m):
 def test_orderings_certificate_agrees_with_the_literal_loop(make, k1, k2):
     m = build_T(make(), k1, k2)
     sigmas = all_sigmas(m.n)
-    factors = detsigma_factors(m)
+    factors = corner_factors(m.t_blocks)
     assert factors_commute(m, factors).passed
     rep, ref = detsigma_consistency(m, sigmas, factors, True)
     assert (rep.passed, ref, rep.witness) == literal_orderings(m, sigmas, factors)
@@ -434,7 +437,7 @@ def test_noncommuting_factors_multiply_every_ordering_out(monkeypatch, make):
     tw = make()
     m = off_diagonal_shift(build_T(tw))
     sigmas = all_sigmas(m.n)
-    factors = detsigma_factors(m)
+    factors = corner_factors(m.t_blocks)
     assert not factors_commute(m, factors).passed
     want = literal_orderings(m, sigmas, factors)
     assert not want[0] and want[2]["sigma"] == list(sigmas[1])
@@ -505,6 +508,16 @@ def test_verify_factorization_rejects_no_sigmas_before_any_work(monkeypatch):
         verify_factorization(untwisted(2), sigmas=[])
 
 
+@pytest.mark.parametrize("k1, k2", [(0, 1), (1, 0)])
+def test_verify_factorization_rejects_tensor_powers_before_any_work(monkeypatch, k1, k2):
+    def no_work(r):
+        raise AssertionError("ybe ran before the tensor powers were checked")
+
+    monkeypatch.setattr("qdq.frt.ybe_check", no_work)
+    with pytest.raises(ValueError, match="tensor powers"):
+        verify_factorization(untwisted(3), k1=k1, k2=k2)
+
+
 def test_qdet_subreports_time_their_inputs(monkeypatch):
     # the wedge and the coaction products are timed by qdet-coaction
     inner = qdet_coaction
@@ -523,18 +536,16 @@ def test_qdet_subreports_time_their_inputs(monkeypatch):
 def test_factor_and_reference_timers_cover_their_inputs(monkeypatch):
     # the corner factors are timed by factors-commute, and the reference
     # ordering by det-sigma-consistency, even with a single ordering
-    factors_of, det_of = detsigma_factors, detsigma_T
-
-    def slow_factors(model):
+    def slow_factors(x):
         time.sleep(0.05)
-        return factors_of(model)
+        return corner_factors(x)
 
-    def slow_det(model, sigma, factors=None):
+    def slow_det(x, sigma, factors=None):
         time.sleep(0.05)
-        return det_of(model, sigma, factors)
+        return det_sigma(x, sigma, factors)
 
-    monkeypatch.setattr("qdq.frt.detsigma_factors", slow_factors)
-    monkeypatch.setattr("qdq.frt.detsigma_T", slow_det)
+    monkeypatch.setattr("qdq.frt.corner_factors", slow_factors)
+    monkeypatch.setattr("qdq.frt.det_sigma", slow_det)
     rep = verify_factorization(untwisted(2), sigmas=[(1, 2)])
     assert rep.passed, rep.witness
     ms = {r.check: r.ms for r in rep.details["checks"]}

@@ -448,19 +448,26 @@ def test_shape_mismatch_has_its_own_witness():
     assert rep.witness == {"coords": [0, 0], "lhs": F.one, "rhs": F.zero}
 
 
+def dict_rows(rows):
+    """Dense rows as the {column: value} rows solve_particular takes."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def test_solve_particular():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    rows = dict_rows([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]])
     zero, one = Fraction(0), Fraction(1)
-    x = solve_particular(rows, [Fraction(4), Fraction(0)], zero, one)
+    x = solve_particular(rows, 2, [Fraction(4), Fraction(0)], zero, one)
     assert x == [Fraction(2), Fraction(2)]
-    rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve_particular(rows, [Fraction(1), Fraction(3)], zero, one) is None
+    rows = dict_rows([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
+    assert solve_particular(rows, 2, [Fraction(1), Fraction(3)], zero, one) is None
     # underdetermined: free variable pinned to zero
-    rows = [[Fraction(1), Fraction(1)]]
-    assert solve_particular(rows, [Fraction(5)], zero, one) == [
+    rows = dict_rows([[Fraction(1), Fraction(1)]])
+    assert solve_particular(rows, 2, [Fraction(5)], zero, one) == [
         Fraction(5),
         Fraction(0),
     ]
+    # no equations: every variable is free
+    assert solve_particular([], 3, [], zero, one) == [zero] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +535,10 @@ def test_solve_particular_matches_dense_oracle(value, zero, one):
         else:
             rhs = [_sparse_value(rng, value, zero) for _ in range(nrows)]
         want = dense_solve_particular([list(r) for r in rows], list(rhs), zero)
-        before = [list(r) for r in rows]
-        assert solve_particular(rows, rhs, zero, one) == want
-        assert rows == before
+        sparse = dict_rows(rows)
+        before = [dict(r) for r in sparse]
+        assert solve_particular(sparse, ncols, rhs, zero, one) == want
+        assert sparse == before
         if want is None:
             seen.add("inconsistent")
         else:
@@ -649,6 +657,6 @@ def test_large_solve_particular_matches_dense_oracle(value, zero, one):
         else:
             rhs = [_unit_entry(rng, value, one) if rng.randrange(3) else zero for _ in rows]
         want = dense_solve_particular([list(r) for r in rows], list(rhs), zero)
-        assert solve_particular(rows, rhs, zero, one) == want
+        assert solve_particular(dict_rows(rows), ncols, rhs, zero, one) == want
         seen.add("inconsistent" if want is None else "consistent")
     assert seen == {"inconsistent", "consistent"}

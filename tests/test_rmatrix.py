@@ -7,7 +7,15 @@ from itertools import permutations
 import pytest
 
 from qdq.errors import NonRepresentableExponentError, WrongWedgeDimensionError
-from qdq.linalg import Matrix, TensorIndexing, flip_perm, gauss_invert, leg_embed
+from qdq.linalg import (
+    Matrix,
+    TensorIndexing,
+    first_mismatch,
+    flip_perm,
+    gauss_invert,
+    leg_embed,
+)
+from qdq.report import mismatch_witness
 from qdq.rmatrix import (
     RMatrix,
     cartan_exp,
@@ -15,6 +23,7 @@ from qdq.rmatrix import (
     l_minus,
     l_plus,
     r_hat,
+    rll_sides,
     standard_r,
     wedge_coefficients,
     wedge_top,
@@ -91,7 +100,7 @@ def test_ybe_pass_small():
         assert rep.passed, rep.witness
 
 
-def test_ybe_fails_generic():
+def generic_r():
     rng = random.Random(4)
     m = Matrix(
         4,
@@ -99,10 +108,42 @@ def test_ybe_fails_generic():
         [[F.from_rational(rng.randint(1, 9)) for _ in range(4)] for _ in range(4)],
         F,
     )
-    rep = ybe_check(RMatrix(2, m, F))
+    return RMatrix(2, m, F)
+
+
+def test_ybe_fails_generic():
+    rep = ybe_check(generic_r())
     assert not rep.passed
     assert rep.witness and "coords" in rep.witness
     assert rep.witness["lhs"] != rep.witness["rhs"]
+
+
+def literal_ybe_sides(r):
+    """Oracle: R12 R13 R23 and R23 R13 R12 written out on V^(x)3."""
+    r12, r13, r23 = (leg_embed(r.mat, legs, r.n, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+    return r12 * r13 * r23, r23 * r13 * r12
+
+
+def perturbed_r(n, row, col):
+    r = standard_r(n, F)
+    r.mat.entries[row][col] = r.mat.entries[row][col] + F.q
+    return r
+
+
+@pytest.mark.parametrize(
+    "make",
+    [generic_r, lambda: perturbed_r(2, 1, 2), lambda: perturbed_r(3, 5, 2)],
+    ids=["generic", "std2-perturbed", "std3-perturbed"],
+)
+def test_ybe_witness_is_the_literal_first_mismatch(make):
+    r = make()
+    lhs, rhs = literal_ybe_sides(r)
+    loc = first_mismatch(lhs, rhs)
+    assert loc is not None
+    rep = ybe_check(r)
+    assert not rep.passed and rep.witness == mismatch_witness(loc)
+    # ybe is the k = 1 RLL relation of L+ = R
+    assert rll_sides(r.mat, l_plus(r, 1).flatten(), r.n, 1) == (lhs, rhs)
 
 
 def test_hecke_dims():

@@ -400,8 +400,8 @@ def oracle_in_span(vec, basis_rows, n):
         return True
     if not basis_rows:
         return False
-    rows = [[basis_rows[b][k] for b in range(len(basis_rows))] for k in range(n)]
-    return solve_particular(rows, vec, Q(0), Q(1)) is not None
+    rows = [{b: row[k] for b, row in enumerate(basis_rows) if row[k]} for k in range(n)]
+    return solve_particular(rows, len(basis_rows), vec, Q(0), Q(1)) is not None
 
 
 def oracle_check_beta(beta, t):
@@ -498,9 +498,9 @@ def oracle_cocycle_sides(tw):
     def ce(grid, legs):
         return leg_embed(cartan_exp(grid, field), legs, n, 3)
 
-    rt13 = leg_embed(tw.rtilde_vv, (1, 3), n, 3)
-    rt23 = leg_embed(tw.rtilde_vv, (2, 3), n, 3)
-    rt12 = leg_embed(tw.rtilde_vv, (1, 2), n, 3)
+    rt13 = leg_embed(tw.j_factors[1], (1, 3), n, 3)
+    rt23 = leg_embed(tw.j_factors[1], (2, 3), n, 3)
+    rt12 = leg_embed(tw.j_factors[1], (1, 2), n, 3)
     j12 = leg_embed(tw.j_vv, (1, 2), n, 3)
     j23 = leg_embed(tw.j_vv, (2, 3), n, 3)
     lhs = (
@@ -566,7 +566,7 @@ def test_coproduct_factors_order_and_shared_exponentials():
     neg_theta = cartan_exp([[-v for v in row] for row in tw.theta], tw.field)
     assert ops[0] == neg_theta and ops[6] == cartan_exp(tw.beta, tw.field)
     assert all(op is ops[0] for op in ops[:3]) and all(op is ops[6] for op in ops[6:])
-    assert all(op is tw.rtilde_vv for op in ops[3:6])
+    assert all(op is tw.j_factors[1] for op in ops[3:6])
 
 
 def test_pair_12_gives_the_twist():
@@ -598,8 +598,8 @@ def test_iterated_twist_on_four_legs():
     assert lhs != rhs
 
 
-def test_cocycle_builds_at_most_two_cartan_exponentials(monkeypatch):
-    tw = build_twist(CG, CG_THETA, CG_BETA)
+def test_cartan_exponentials_are_built_once_per_twist(monkeypatch):
+    # build_twist makes J's three factors, and the cocycle reuses them
     calls = []
 
     def counted(grid, field):
@@ -607,5 +607,42 @@ def test_cocycle_builds_at_most_two_cartan_exponentials(monkeypatch):
         return cartan_exp(grid, field)
 
     monkeypatch.setattr(qdq.twist, "cartan_exp", counted)
+    tw = build_twist(CG, CG_THETA, CG_BETA)
+    assert len(calls) == 3
     assert cocycle_check(tw).passed
-    assert 0 < len(calls) <= 2
+    assert len(calls) == 3
+
+
+def gl4_betas(count, seed=5):
+    """Seeded betas in h0 (x) h0 for GL4: each pair of h0 directions with a
+    coefficient from +-1/2, +-1."""
+    rng = random.Random(seed)
+    basis = cartan_data(GL4).h0_basis
+    pairs = [(u, v) for a, u in enumerate(basis) for v in basis[a + 1 :]]
+    out = []
+    for _ in range(count):
+        coeffs = [rng.choice((H, -H, 1, -1)) for _ in pairs]
+        out.append([
+            [sum(c * (u[i] * v[j] - v[i] * u[j]) for c, (u, v) in zip(coeffs, pairs))
+             for j in range(4)]
+            for i in range(4)
+        ])
+    return out
+
+
+def test_j_is_the_product_of_its_three_factors():
+    # e^{-h Theta} Rt e^{h beta} with Rt = e^{hZ} J' is e^{hY} J' e^{h beta}
+    cases = [build_twist(t) for t in TRIPLES_UP_TO_5]
+    cases += [build_twist(GL4, None, beta) for beta in gl4_betas(4) + [gl4_beta()]]
+    assert len(cases) == 36
+    for tw in cases:
+        f = tw.field
+        z = cartan_data(tw.triple).z_grid
+        y = [[zij - tij for zij, tij in zip(zr, tr)] for zr, tr in zip(z, tw.theta)]
+        neg_theta = [[-v for v in row] for row in tw.theta]
+        assert tw.j_factors == (
+            cartan_exp(neg_theta, f),
+            cartan_exp(z, f) * tw.jprime_vv,
+            cartan_exp(tw.beta, f),
+        ), tw.triple
+        assert tw.j_vv == cartan_exp(y, f) * tw.jprime_vv * cartan_exp(tw.beta, f), tw.triple
