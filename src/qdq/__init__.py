@@ -49,7 +49,6 @@ from .quasidet import (
 )
 from .report import Report
 from .rmatrix import (
-    RMatrix,
     cartan_exp,
     hecke_check,
     l_minus,

@@ -197,11 +197,10 @@ def _twist_from_args(args):
 
 def cmd_std_r(args) -> int:
     field = ScalarField(args.root_order)
-    r = standard_r(args.n, field)
     payload = {
         "n": args.n,
         "root_order": field.root_order,
-        "matrix": matrix_to_json(r.mat),
+        "matrix": matrix_to_json(standard_r(args.n, field)),
     }
     _emit(payload, args)
     return EXIT_PASS

@@ -52,12 +52,15 @@ from .twist import Twist, cocycle_check, p_vector
 
 @dataclass
 class FRTModel:
-    """A twisted quantum-matrix model on W1 (x) W2."""
+    """A twisted quantum-matrix model on W1 (x) W2: T, and the flat L+ on
+    V (x) W1 and L- on V (x) W2 that build_T multiplied into it."""
 
     twist: Twist
     k1: int
     k2: int
     t_blocks: NCSquare
+    l_plus: Matrix
+    l_minus: Matrix
 
     @property
     def n(self):
@@ -87,16 +90,17 @@ def _check_powers(k1: int, k2: int):
 def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
     """T as the product of L+ and L- embedded along the shared matrix leg."""
     _check_powers(k1, k2)
-    a, b = l_plus(tw.r_j, k1).flatten(), l_minus(tw.r_j, k2).flatten()
-    return FRTModel(tw, k1, k2, NCSquare.from_flat(_t_flat(a, b, tw.n, k1, k2), tw.n))
+    a, b = l_plus(tw.r_j, k1), l_minus(tw.r_j, k2)
+    t = NCSquare.from_flat(_t_flat(a, b, tw.n, k1, k2), tw.n)
+    return FRTModel(tw, k1, k2, t, a, b)
 
 
 @timed
 def frt_check(m: FRTModel) -> Report:
     """R12 T13 T23 = T23 T13 R12 on V (x) V (x) W1 (x) W2, by a certificate.
 
-    With A = L+ on V (x) W1 and B = L- on V (x) W2, computed here from the
-    twist, the premises are rll_plus (R12 A13 A23 = A23 A13 R12 on
+    With A = L+ on V (x) W1 and B = L- on V (x) W2, as the model keeps
+    them, the premises are rll_plus (R12 A13 A23 = A23 A13 R12 on
     V (x) V (x) W1), rll_minus (the same for B on V (x) V (x) W2) and
     t_is_product (flatten(T) = A B as build_T forms it, so T13 = A13 B14).
     B14 commutes with A23, and B24 with A13, as they act on disjoint legs:
@@ -104,15 +108,17 @@ def frt_check(m: FRTModel) -> Report:
         R12 T13 T23 = R12 A13 A23 B14 B24 = A23 A13 R12 B14 B24
                     = A23 A13 B24 B14 R12 = T23 T13 R12,
 
-    the bialgebra property of the FRT algebra.  The details name the route
-    and each premise's outcome; a failure's witness names the first failed
-    premise with its first mismatch.
+    the bialgebra property of the FRT algebra.  The argument holds for any
+    A and B that meet the premises, so the model's own serve and none is
+    built here.  The details name the route and each premise's outcome; a
+    failure's witness names the first failed premise with its first
+    mismatch.
     """
     n, r, k1, k2 = m.n, m.twist.r_j, m.k1, m.k2
-    a, b = l_plus(r, k1).flatten(), l_minus(r, k2).flatten()
+    a, b = m.l_plus, m.l_minus
     locs = {
-        "rll_plus": first_mismatch(*rll_sides(r.mat, a, n, k1)),
-        "rll_minus": first_mismatch(*rll_sides(r.mat, b, n, k2)),
+        "rll_plus": first_mismatch(*rll_sides(r, a, n, k1)),
+        "rll_minus": first_mismatch(*rll_sides(r, b, n, k2)),
         "t_is_product": first_mismatch(m.t_blocks.flatten(), _t_flat(a, b, n, k1, k2)),
     }
     premises = {name: loc is None for name, loc in locs.items()}

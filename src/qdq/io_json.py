@@ -16,14 +16,10 @@ from .report import Report
 from .scalars import RatFunc, ScalarField
 
 
-def _rat_str(c) -> str:
-    return str(c)
-
-
 def ratfunc_to_json(x: RatFunc) -> dict:
     return {
-        "num": [_rat_str(c) for c in x.num] or ["0"],
-        "den": [_rat_str(c) for c in x.den],
+        "num": [str(c) for c in x.num] or ["0"],
+        "den": [str(c) for c in x.den],
     }
 
 
@@ -105,7 +101,7 @@ def ncsquare_from_json(obj) -> NCSquare:
 
 
 def grid_to_json(grid) -> list:
-    return [[_rat_str(v) for v in row] for row in grid]
+    return [[str(v) for v in row] for row in grid]
 
 
 def grid_from_json(rows) -> list:

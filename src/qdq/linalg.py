@@ -90,15 +90,7 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.field,
-        )
+        return self + (-other)
 
     def __neg__(self):
         return Matrix(

@@ -15,8 +15,8 @@ quasiminors recovers the determinant in the commutative case:
 
 Entries are either scalars (RatFunc) or operators (Matrix).  A square of
 operator entries flattens to one Matrix over Q(s), a ring isomorphism:
-T, L+ and L- are such squares, and a quasideterminant is one solve through
-the flattening.  A square of scalar entries flattens to its own grid.
+T is such a square, and a quasideterminant is one solve through the
+flattening.  A square of scalar entries flattens to its own grid.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ The classical limit pins the normalization: R at s = 1 is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isqrt
 
 from .errors import WrongWedgeDimensionError
 from .linalg import (
@@ -27,21 +27,11 @@ from .linalg import (
     leg_embed,
     sparse_kernel,
 )
-from .quasidet import NCSquare
 from .report import Report, equality_report, timed
 from .scalars import ScalarField, as_rational, q_power
 
 
-@dataclass
-class RMatrix:
-    """An invertible operator on V (x) V intended to satisfy the YBE."""
-
-    n: int
-    mat: Matrix
-    field: ScalarField
-
-
-def standard_r(n: int, field: ScalarField) -> RMatrix:
+def standard_r(n: int, field: ScalarField) -> Matrix:
     """The vector-representation image of the universal R-matrix of gl_n."""
     d = n * n
     m = Matrix.zeros(d, d, field)
@@ -56,12 +46,12 @@ def standard_r(n: int, field: ScalarField) -> RMatrix:
         for b in range(a + 1, n):
             # E_ab (x) E_ba sends v_b (x) v_a to v_a (x) v_b
             m.entries[a * n + b][b * n + a] = lam
-    return RMatrix(n, m, field)
+    return m
 
 
-def r_hat(r: RMatrix) -> Matrix:
+def r_hat(r: Matrix) -> Matrix:
     """flip . R, the Hecke-normalized braiding operator."""
-    return flip_perm(r.n, r.field) * r.mat
+    return flip_perm(isqrt(r.rows), r.field) * r
 
 
 def rll_sides(r: Matrix, a: Matrix, n: int, k: int):
@@ -75,10 +65,11 @@ def rll_sides(r: Matrix, a: Matrix, n: int, k: int):
 
 
 @timed
-def ybe_check(r: RMatrix) -> Report:
+def ybe_check(r: Matrix) -> Report:
     """R12 R13 R23 = R23 R13 R12 on V^(x)3, exactly: the RLL relation of
     L = R on V (x) V."""
-    return equality_report("ybe", {"n": r.n}, *rll_sides(r.mat, r.mat, r.n, 1))
+    n = isqrt(r.rows)
+    return equality_report("ybe", {"n": n}, *rll_sides(r, r, n, 1))
 
 
 @timed
@@ -87,12 +78,14 @@ def hecke_check(rhat: Matrix) -> Report:
     n(n-1)/2; the relation alone would pass q Id and -1/q Id."""
     field = rhat.field
     d = rhat.rows
-    n = round(d**0.5)
+    n = isqrt(d)
     ident = Matrix.identity(d, field)
-    lhs = (rhat - ident.scale(field.q)) * (rhat + ident.scale(field.q_inv))
-    rep = equality_report("hecke", {"dim": d}, lhs, Matrix.zeros(d, d, field))
-    sym = len(kernel_basis(rhat - ident.scale(field.q)))
-    anti = len(kernel_basis(rhat + ident.scale(field.q_inv)))
+    sym_factor = rhat - ident.scale(field.q)
+    anti_factor = rhat + ident.scale(field.q_inv)
+    zero = Matrix.zeros(d, d, field)
+    rep = equality_report("hecke", {"dim": d}, sym_factor * anti_factor, zero)
+    sym = len(kernel_basis(sym_factor))
+    anti = len(kernel_basis(anti_factor))
     expected = (n * (n + 1) // 2, n * (n - 1) // 2)
     rep.details.update(eigenspace_dims=(sym, anti), expected_dims=expected)
     if rep.passed and (sym, anti) != expected:
@@ -146,18 +139,18 @@ def leg_product(factors, n: int, k: int) -> Matrix:
     return flat
 
 
-def l_plus(r_j: RMatrix, k: int) -> NCSquare:
-    """L+ acting on W = V^(x)k, read as an n x n square of operators over the
-    first (matrix) leg: the flattened form is R_{0,k} ... R_{0,1} with leg 0
-    the matrix leg (hexagon composition)."""
-    factors = [(r_j.mat, (1, j)) for j in range(k + 1, 1, -1)]
-    return NCSquare.from_flat(leg_product(factors, r_j.n, k + 1), r_j.n)
+def l_plus(r_j: Matrix, k: int) -> Matrix:
+    """L+ on V (x) W, W = V^(x)k, as one flat operator: R_{0,k} ... R_{0,1}
+    with leg 0 the matrix leg (hexagon composition).  NCSquare.from_flat(op, n)
+    reads it as an n x n square of operators on W."""
+    factors = [(r_j, (1, j)) for j in range(k + 1, 1, -1)]
+    return leg_product(factors, isqrt(r_j.rows), k + 1)
 
 
-def l_minus(r_j: RMatrix, k: int) -> NCSquare:
-    """L- on V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
-    p = flip_perm(r_j.n, r_j.field)
-    return l_plus(RMatrix(r_j.n, p * gauss_invert(r_j.mat) * p, r_j.field), k)
+def l_minus(r_j: Matrix, k: int) -> Matrix:
+    """L- on V (x) V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
+    p = flip_perm(isqrt(r_j.rows), r_j.field)
+    return l_plus(p * gauss_invert(r_j) * p, k)
 
 
 def cartan_exp(a_grid, field: ScalarField) -> Matrix:

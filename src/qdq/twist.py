@@ -43,7 +43,7 @@ from .linalg import (
     solve_particular,
 )
 from .report import Report, equality_report, timed
-from .rmatrix import RMatrix, cartan_exp, leg_product, standard_r
+from .rmatrix import cartan_exp, leg_product, standard_r
 from .scalars import Q, ScalarField, as_rational, lcm_denominators
 
 _Q0 = Q(0)
@@ -276,7 +276,7 @@ class Twist:
     jprime_vv: Matrix
     j_factors: tuple  # e^{-h Theta}, Rt = e^{hZ} J', e^{h beta}: J's factors
     j_vv: Matrix
-    r_j: RMatrix
+    r_j: Matrix
 
     @property
     def n(self):
@@ -349,9 +349,8 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     j_factors = (cartan_exp(minus_theta, field), cartan_exp(z, field) * jp,
                  cartan_exp(beta, field))
     j_vv = j_factors[0] * j_factors[1] * j_factors[2]
-    std = standard_r(n, field)
     p = flip_perm(n, field)
-    rj_mat = p * gauss_invert(j_vv) * p * std.mat * j_vv
+    r_j = p * gauss_invert(j_vv) * p * standard_r(n, field) * j_vv
     return Twist(
         triple=t,
         theta=theta,
@@ -361,7 +360,7 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
         jprime_vv=jp,
         j_factors=j_factors,
         j_vv=j_vv,
-        r_j=RMatrix(n, rj_mat, field),
+        r_j=r_j,
     )
 
 

@@ -30,7 +30,7 @@ def test_std_r_output_and_determinism(capsys):
     assert out1 == out2  # byte-identical
     obj = json.loads(out1)
     f = ScalarField(obj["root_order"])
-    assert matrix_from_json(obj["matrix"], f) == standard_r(2, f).mat
+    assert matrix_from_json(obj["matrix"], f) == standard_r(2, f)
 
 
 def test_solve_theta_cli(capsys):
@@ -94,7 +94,7 @@ def test_text_format_names_the_failed_premise(capsys, monkeypatch):
 def test_degenerate_hecke_names_both_dimension_pairs(capsys, monkeypatch):
     # q Id passes the Hecke relation with all of V (x) V its q-eigenspace
     monkeypatch.setattr(
-        "qdq.cli.r_hat", lambda r: Matrix.identity(r.n * r.n, r.field).scale(r.field.q)
+        "qdq.cli.r_hat", lambda r: Matrix.identity(r.rows, r.field).scale(r.field.q)
     )
     code, out, _ = invoke(capsys, "check", "hecke", "--n", "2", "--format", "text")
     assert code == 1

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ import qdq.rmatrix
 import qdq.twist
 from qdq.linalg import Matrix, first_mismatch, kron, leg_embed
 from qdq.frt import (
-    FRTModel,
     build_T,
     detsigma_consistency,
     f_of_D_image,
@@ -60,9 +60,9 @@ def test_build_T_untwisted_n2_blocks():
 def kron_T_blocks(tw, k1, k2):
     """Oracle: T_ij = sum_k (L+)_ik (x) (L-)_kj as a sum of Kronecker
     products, the block route that build_T replaced."""
-    lp = l_plus(tw.r_j, k1)
-    lm = l_minus(tw.r_j, k2)
     n = tw.n
+    lp = NCSquare.from_flat(l_plus(tw.r_j, k1), n)
+    lm = NCSquare.from_flat(l_minus(tw.r_j, k2), n)
     blocks = []
     for i in range(n):
         row = []
@@ -230,7 +230,7 @@ def literal_exchange(m):
     on V (x) V (x) W1 (x) W2, the route frt_check's certificate replaced."""
     n, ktot = m.n, 2 + m.k1 + m.k2
     w_legs = tuple(range(3, ktot + 1))
-    r12 = leg_embed(m.twist.r_j.mat, (1, 2), n, ktot)
+    r12 = leg_embed(m.twist.r_j, (1, 2), n, ktot)
     tflat = m.t_blocks.flatten()
     t13 = leg_embed(tflat, (1, *w_legs), n, ktot)
     t23 = leg_embed(tflat, (2, *w_legs), n, ktot)
@@ -277,11 +277,11 @@ def test_perturbed_T_fails_t_is_product(make):
     assert rep.details == {**CERTIFIED, "premises": want}
 
 
-def shifted(square):
-    """A copy of an operator square with one entry of its (1, 1) block moved."""
-    blocks = [[b.copy() for b in row] for row in square.entries]
-    blocks[0][0].entries[0][0] = blocks[0][0].entries[0][0] + square.field.one
-    return NCSquare(blocks, square.field)
+def shifted(op):
+    """A copy of an operator with its first entry, in the (1, 1) block, moved."""
+    out = op.copy()
+    out.entries[0][0] = out.entries[0][0] + op.field.one
+    return out
 
 
 @pytest.mark.parametrize(
@@ -296,6 +296,20 @@ def test_perturbed_factor_fails_its_rll_premise(monkeypatch, name, inner, premis
     assert not rep.passed and rep.witness["premise"] == premise
     assert "coords" in rep.witness and rep.witness["lhs"] != rep.witness["rhs"]
     assert rep.details["premises"] == {**CERTIFIED["premises"], premise: False}
+
+
+def test_one_battery_builds_each_l_operator_once(monkeypatch):
+    # frt_check reads L+ and L- off the model that build_T made
+    calls = {"l_plus": 0, "l_minus": 0}
+    for name in calls:
+
+        def counted(r, k, name=name, inner=getattr(qdq.frt, name)):
+            calls[name] += 1
+            return inner(r, k)
+
+        monkeypatch.setattr(f"qdq.frt.{name}", counted)
+    assert verify_factorization(untwisted(2)).passed
+    assert calls == {"l_plus": 1, "l_minus": 1}
 
 
 @pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1)])
@@ -378,8 +392,7 @@ def test_factors_commute_fails_generic():
         ]
         for _ in range(2)
     ]
-    tw = untwisted(2)
-    m = FRTModel(tw, 1, 1, NCSquare(blocks, f))
+    m = replace(build_T(untwisted(2)), t_blocks=NCSquare(blocks, f))
     rep = factors_commute(m)
     assert not rep.passed and rep.witness
 
@@ -401,7 +414,7 @@ def off_diagonal_shift(m):
     longer an FRT model, and its corner factors stop commuting."""
     blocks = [[b.copy() for b in row] for row in m.t_blocks.entries]
     blocks[0][0].entries[0][1] = blocks[0][0].entries[0][1] + m.field.one
-    return FRTModel(m.twist, m.k1, m.k2, NCSquare(blocks, m.field))
+    return replace(m, t_blocks=NCSquare(blocks, m.field))
 
 
 @pytest.mark.parametrize(

@@ -55,8 +55,8 @@ def test_ratfunc_coefficients_are_lowest_terms_strings():
 
 def test_matrix_roundtrip():
     r = standard_r(2, F)
-    obj = matrix_to_json(r.mat)
-    assert matrix_from_json(obj, F) == r.mat
+    obj = matrix_to_json(r)
+    assert matrix_from_json(obj, F) == r
     assert obj["rows"] == 4 and obj["cols"] == 4
 
 

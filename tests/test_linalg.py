@@ -428,6 +428,23 @@ def test_sparse_products_match_naive_loops():
             assert a.scale(factor).entries == [[factor * x for x in r] for r in a.entries]
 
 
+def test_sparse_sums_and_differences_match_entrywise_arithmetic():
+    # oracle: RatFunc + and - on every entry pair, zeros included
+    rng = random.Random(37)
+    for field in (F, ScalarField(2)):
+        for rows, cols in ((5, 7), (6, 6), (1, 4), (8, 3)):
+            a, b = rand_sparse(rng, rows, cols, field), rand_sparse(rng, rows, cols, field)
+            pairs = [list(zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)]
+            assert (a + b).entries == [[x + y for x, y in row] for row in pairs]
+            assert (a - b).entries == [[x - y for x, y in row] for row in pairs]
+            assert (a - a).is_zero() and (a - b) + b == a
+        wide, tall = rand_sparse(rng, 2, 3, field), rand_sparse(rng, 3, 2, field)
+        with pytest.raises(ValueError):
+            wide + tall
+        with pytest.raises(ValueError):
+            wide - tall
+
+
 def test_first_mismatch():
     a = Matrix.identity(2, F)
     b = a.copy()

@@ -184,7 +184,7 @@ def test_enumerate_counts_small():
 def test_untwisted_build():
     tw = untwisted(3)
     assert tw.j_vv == Matrix.identity(9, tw.field)
-    assert tw.r_j.mat == standard_r(3, tw.field).mat
+    assert tw.r_j == standard_r(3, tw.field)
     assert p_vector(tw) == [0, 0, 0]
 
 
