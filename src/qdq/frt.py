@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, first_mismatch, kron, leg_embed
+from .linalg import Matrix, first_mismatch, kron, leg_products
+from .linalg import leg_embed  # unused here; perfbench's tracer tests read this binding
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
 from .report import (
     Clock,
@@ -78,8 +79,8 @@ class FRTModel:
 def _t_flat(a: Matrix, b: Matrix, n: int, k1: int, k2: int) -> Matrix:
     """flatten(T) = A B, A on V (x) W1 and B on V (x) W2 sharing the matrix leg."""
     ktot = 1 + k1 + k2
-    a_emb = leg_embed(a, (1, *range(2, k1 + 2)), n, ktot)
-    return a_emb * leg_embed(b, (1, *range(k1 + 2, ktot + 1)), n, ktot)
+    a_legs, b_legs = (1, *range(2, k1 + 2)), (1, *range(k1 + 2, ktot + 1))
+    return leg_products([[(a, a_legs), (b, b_legs)]], n, ktot)[0]
 
 
 def _check_powers(k1: int, k2: int):

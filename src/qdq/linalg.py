@@ -10,6 +10,12 @@ with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
 pure index bookkeeping.
 
+leg_products is the one kernel behind every product of leg-embedded
+operators, leg_embed being its one-factor case.  It builds each factor's
+rows as {column: value} from the small operator's nonzeros, keeps the
+running product in such rows and makes a dense Matrix only at the end.
+Matrices are dense everywhere except inside it and the routine below.
+
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
 along.  Inversion (the RREF of [A | I]), linear solves, every kernel
@@ -263,12 +269,10 @@ def flip_perm(n: int, field: ScalarField) -> Matrix:
     return m
 
 
-def leg_embed(op: Matrix, legs, n: int, k: int) -> Matrix:
-    """Extend an operator on the named tensor legs by the identity elsewhere.
-
-    legs are 1-based positions in V^(x)k, in the order matching op's own
-    factors; duplicates and out-of-range positions are rejected.
-    """
+def _leg_rows(op: Matrix, legs, n: int, k: int):
+    """Rows {column: value} of op on the named legs of V^(x)k, extended by
+    the identity elsewhere: op[r][c] lands at (base[r] + off, base[c] + off)
+    for each offset off of the other legs, base the weight of op's indices."""
     legs = tuple(legs)
     if len(set(legs)) != len(legs):
         raise ValueError(f"duplicate legs in {legs}")
@@ -277,32 +281,65 @@ def leg_embed(op: Matrix, legs, n: int, k: int) -> Matrix:
     L = len(legs)
     if op.rows != n**L or op.cols != n**L:
         raise ValueError("operator size does not match the named legs")
-    if L == k and legs == tuple(range(1, k + 1)):
-        return op
     weight = [n ** (k - p) for p in range(1, k + 1)]
     leg_w = [weight[p - 1] for p in legs]
     rest_w = [weight[p - 1] for p in range(1, k + 1) if p not in legs]
-    dim = n**k
-    out = Matrix.zeros(dim, dim, op.field)
-    ent = out.entries
     ti = TensorIndexing(n, L)
-    offsets = [
-        sum(a * w for a, w in zip(assign, rest_w))
-        for assign in product(range(n), repeat=k - L)
+    base = [sum((d - 1) * w for d, w in zip(ti.from_linear(i), leg_w)) for i in range(op.rows)]
+    nonzeros = [
+        (base[r], [(base[c], x) for c, x in enumerate(row) if x])
+        for r, row in enumerate(op.entries)
     ]
-    for r in range(op.rows):
-        row = op.entries[r]
-        rmulti = ti.from_linear(r)
-        rbase = sum((d - 1) * w for d, w in zip(rmulti, leg_w))
-        for c in range(op.cols):
-            e = row[c]
-            if not e:
-                continue
-            cmulti = ti.from_linear(c)
-            cbase = sum((d - 1) * w for d, w in zip(cmulti, leg_w))
-            for off in offsets:
-                ent[rbase + off][cbase + off] = e
+    rows = [None] * n**k
+    for assign in product(range(n), repeat=k - L):
+        off = sum(a * w for a, w in zip(assign, rest_w))
+        for rb, cols in nonzeros:
+            rows[rb + off] = {cb + off: x for cb, x in cols}
+    return rows
+
+
+def leg_products(chains, n: int, k: int) -> list:
+    """The ordered product of each chain of factors (op, legs) on V^(x)k.
+
+    op acts on its legs, 1-based and in the order of op's own factors, and
+    as the identity elsewhere.  Each distinct (op, legs) is embedded once
+    and shared by every chain; entries that cancel to zero are dropped.
+    """
+    dim = n**k
+    embedded = {}
+    out = []
+    for chain in chains:
+        prod = None
+        for op, legs in chain:
+            key = (id(op), tuple(legs))
+            if key not in embedded:
+                embedded[key] = _leg_rows(op, legs, n, k)
+            rows = embedded[key]
+            if prod is not None:
+                rows = [_row_times(row, rows) for row in prod]
+            prod = rows
+        grid = [[op.field.zero] * dim for _ in prod]
+        for g, row in zip(grid, prod):
+            for c, x in row.items():
+                g[c] = x
+        out.append(Matrix(dim, dim, grid, op.field))
     return out
+
+
+def _row_times(row, rows):
+    """A row times the matrix of rows, all as {column: value}."""
+    acc = {}
+    for j, a in row.items():
+        for c, b in rows[j].items():
+            y = acc.get(c)
+            acc[c] = a * b if y is None else y + a * b
+    return {c: x for c, x in acc.items() if x}
+
+
+def leg_embed(op: Matrix, legs, n: int, k: int) -> Matrix:
+    """Extend an operator on the named tensor legs by the identity elsewhere:
+    the one-factor chain of leg_products, with its ValueErrors."""
+    return leg_products([[(op, legs)]], n, k)[0]
 
 
 def gauss_invert(a: Matrix) -> Matrix:

@@ -6,11 +6,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_linalg import record_embeddings
 
 import qdq.frt
-import qdq.linalg
-import qdq.rmatrix
-import qdq.twist
 from qdq.linalg import Matrix, first_mismatch, kron, leg_embed
 from qdq.frt import (
     build_T,
@@ -317,17 +315,27 @@ def test_frt_check_never_embeds_on_all_four_spaces(monkeypatch, k1, k2):
     # every operator the certificate embeds lives on V (x) V (x) W1, on
     # V (x) V (x) W2 or on V (x) W1 (x) W2, never on V (x) V (x) W1 (x) W2
     m = build_T(cg_twist(), k1, k2)
-    sizes = []
-    inner = qdq.linalg.leg_embed
-
-    def recording(op, legs, n, k):
-        sizes.append(k)
-        return inner(op, legs, n, k)
-
-    for mod in (qdq.linalg, qdq.rmatrix, qdq.twist, qdq.frt):
-        monkeypatch.setattr(mod, "leg_embed", recording)
+    made = record_embeddings(monkeypatch)
     assert frt_check(m).passed
+    sizes = [k for *_, k in made]
     assert sizes and max(sizes) <= 2 + max(k1, k2)
+
+
+def test_gl4_battery_multiplies_no_operator_on_three_legs(monkeypatch):
+    # the leg chains (YBE, cocycle, RLL premises, L+-, T) multiply sparse
+    # rows; only operators on V (x) V go through Matrix.__mul__
+    tw = gl4_with_beta()
+    sizes = []
+    inner = Matrix.__mul__
+
+    def recording(a, b):
+        if isinstance(b, Matrix):
+            sizes.append(max(a.rows, b.rows))
+        return inner(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording)
+    assert verify_factorization(tw).passed
+    assert sizes and max(sizes) < 4**3
 
 
 def test_f_of_D_image_untwisted():

@@ -9,6 +9,7 @@ from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows as dense_rref_rows
 from dense_elimination import solve_particular as dense_solve_particular
 
+import qdq.linalg
 from qdq.errors import SingularMatrixError, WrongWedgeDimensionError
 from qdq.linalg import (
     Matrix,
@@ -20,7 +21,9 @@ from qdq.linalg import (
     kernel_basis,
     kron,
     kernel_basis_grid,
+    _row_times,
     leg_embed,
+    leg_products,
     solve_particular,
     sparse_kernel,
 )
@@ -137,6 +140,137 @@ def test_leg_embed_order_matters():
     swapped = leg_embed(a, (2, 1), 2, 2)
     p = flip_perm(2, F)
     assert swapped == p * a * p
+
+
+def dense_leg_embed(op, legs, n, k):
+    """Oracle: the dense embedding, one grid cell per nonzero and offset."""
+    legs = tuple(legs)
+    if len(set(legs)) != len(legs):
+        raise ValueError(f"duplicate legs in {legs}")
+    if any(not 1 <= p <= k for p in legs):
+        raise ValueError(f"legs {legs} out of range 1..{k}")
+    if op.rows != n ** len(legs) or op.cols != n ** len(legs):
+        raise ValueError("operator size does not match the named legs")
+    out = Matrix.zeros(n**k, n**k, op.field)
+    full, small = TensorIndexing(n, k), TensorIndexing(n, len(legs))
+    for row in full.all_multis():
+        for col in full.all_multis():
+            if any(row[p - 1] != col[p - 1] for p in range(1, k + 1) if p not in legs):
+                continue
+            r = small.to_linear([row[p - 1] for p in legs])
+            c = small.to_linear([col[p - 1] for p in legs])
+            out.entries[full.to_linear(row)][full.to_linear(col)] = op.entries[r][c]
+    return out
+
+
+def record_embeddings(monkeypatch):
+    """The list of (op, legs, k) that the leg kernel fills, one entry per
+    embedding it makes."""
+    made = []
+    inner = qdq.linalg._leg_rows
+
+    def recording(op, legs, n, k):
+        made.append((op, tuple(legs), k))
+        return inner(op, legs, n, k)
+
+    monkeypatch.setattr(qdq.linalg, "_leg_rows", recording)
+    return made
+
+
+def rand_operator(rng, dim, field):
+    """Sparse random operator with a nonzero diagonal, so chains of them
+    keep nonzero products."""
+    return Matrix(
+        dim,
+        dim,
+        [
+            [
+                (rand_ratfunc(rng, field) or field.one)
+                if i == j or rng.random() < 0.2
+                else field.zero
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ],
+        field,
+    )
+
+
+def dense_chain(chain, n, k):
+    """Oracle: each factor embedded densely, multiplied by Matrix.__mul__."""
+    out = None
+    for op, legs in chain:
+        emb = dense_leg_embed(op, legs, n, k)
+        out = emb if out is None else out * emb
+    return out
+
+
+@pytest.mark.parametrize("root_order", [1, 2])
+def test_leg_products_match_dense_embeddings_and_products(root_order):
+    field = ScalarField(root_order)
+    rng = random.Random(90 + root_order)
+    named = {2: [(2, 1)], 3: [(3, 1), (2, 1), (1, 3)], 4: [(1, 3, 4), (4, 2), (3, 1)]}
+    for k in (2, 2, 3, 3, 4, 4):
+        n = 3 if k == 2 else 2
+        chains = []
+        for length in (1, 2, 3, 4):
+            chain = []
+            for _ in range(length):
+                if rng.random() < 0.5:
+                    legs = rng.choice(named[k])
+                else:
+                    legs = tuple(rng.sample(range(1, k + 1), rng.randint(1, min(k, 3))))
+                dim = n ** len(legs)
+                chain.append((rand_operator(rng, dim, field), legs))
+            chains.append(chain)
+        # a factor repeated within a chain and across chains
+        chains.append([chains[1][0], chains[2][1], chains[1][0]])
+        got = leg_products(chains, n, k)
+        assert len(got) == len(chains)
+        for chain, product_ in zip(chains, got):
+            assert product_ == dense_chain(chain, n, k), (k, [legs for _, legs in chain])
+            assert not product_.is_zero()
+        # a one-factor chain is leg_embed
+        for op, legs in chains[0] + chains[3]:
+            assert leg_embed(op, legs, n, k) == dense_leg_embed(op, legs, n, k)
+
+
+def test_leg_products_drop_sums_that_cancel():
+    rng = random.Random(13)
+    for field in (F, ScalarField(2)):
+        u, v, w = (rand_ratfunc(rng, field) or field.one for _ in range(3))
+        a = Matrix(2, 2, [[u, u], [v, v]], field)
+        b = Matrix(2, 2, [[w, -w], [-w, w]], field)  # a b = 0
+        c = rand_sparse(rng, 4, 4, field)
+        half = Matrix(2, 2, [[field.one, -field.one], [field.zero, field.one]], field)
+        chains = [
+            [(a, (1,)), (c, (3, 2)), (b, (1,))],
+            [(a, (2,)), (b, (2,))],
+            [(a, (3,)), (half, (3,)), (c, (1, 3))],
+        ]
+        zero, zero2, partial = leg_products(chains, 2, 3)
+        assert zero.is_zero() and zero2.is_zero()
+        assert _row_times({0: u, 1: u}, [{0: w, 1: -w}, {0: -w, 1: w}]) == {}
+        assert zero == dense_chain(chains[0], 2, 3)
+        assert partial == dense_chain(chains[2], 2, 3)
+
+
+@pytest.mark.parametrize(
+    "legs, size, k",
+    [((1, 1), 4, 3), ((2, 3, 2), 8, 3), ((0,), 2, 3), ((4,), 2, 3), ((1, 5), 4, 4), ((1, 2), 2, 3)],
+    ids=["duplicate", "duplicate-3", "below-range", "above-range", "above-range-2", "size"],
+)
+def test_leg_products_reject_bad_legs_as_leg_embed(legs, size, k):
+    op = Matrix.identity(size, F)
+    with pytest.raises(ValueError) as oracle:
+        dense_leg_embed(op, legs, 2, k)
+    for call in (
+        lambda: leg_embed(op, legs, 2, k),
+        lambda: leg_products([[(Matrix.identity(2, F), (1,)), (op, legs)]], 2, k),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == str(oracle.value)
 
 
 def test_gauss_invert_small():

@@ -7,6 +7,7 @@ from itertools import permutations
 from math import isqrt
 
 import pytest
+from test_linalg import record_embeddings
 
 import qdq.rmatrix
 import qdq.twist
@@ -149,6 +150,19 @@ def test_ybe_witness_is_the_literal_first_mismatch(make):
     assert not rep.passed and rep.witness == mismatch_witness(loc)
     # ybe is the k = 1 RLL relation of L+ = R
     assert rll_sides(r, l_plus(r, 1), isqrt(r.rows), 1) == (lhs, rhs)
+
+
+def test_rll_sides_embed_each_factor_once(monkeypatch):
+    r = standard_r(2, F)
+    a = l_plus(r, 2)
+    made = record_embeddings(monkeypatch)
+    lhs, rhs = rll_sides(r, a, 2, 2)
+    assert [(id(op), legs, k) for op, legs, k in made] == [
+        (id(r), (1, 2), 4),
+        (id(a), (1, 3, 4), 4),
+        (id(a), (2, 3, 4), 4),
+    ]
+    assert lhs == rhs
 
 
 def test_hecke_dims():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows
-from test_linalg import dense_kernel
+from test_linalg import dense_kernel, record_embeddings
 
 import qdq.twist
 from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
@@ -16,13 +16,13 @@ from qdq.linalg import (
     TensorIndexing,
     kernel_basis_grid,
     leg_embed,
+    leg_products,
     solve_particular,
 )
 from qdq.report import equality_report
 from qdq.rmatrix import (
     cartan_exp,
     hecke_check,
-    leg_product,
     r_hat,
     standard_r,
     wedge_top,
@@ -571,7 +571,8 @@ def test_coproduct_factors_order_and_shared_exponentials():
 
 def test_pair_12_gives_the_twist():
     for tw in twists_up_to(4) + [build_twist(GL4, None, gl4_beta()), bad_cg_twist()]:
-        assert leg_product(coproduct_factors(tw, [(1, 2)]), tw.n, 2) == tw.j_vv, tw.triple
+        [j] = leg_products([coproduct_factors(tw, [(1, 2)])], tw.n, 2)
+        assert j == tw.j_vv, tw.triple
 
 
 def iterated_twist_sides(tw):
@@ -587,7 +588,7 @@ def iterated_twist_sides(tw):
         + coproduct_factors(tw, [(2, 4), (2, 3)])
         + [(tw.j_vv, (3, 4))]
     )
-    return leg_product(lhs, tw.n, 4), leg_product(rhs, tw.n, 4)
+    return leg_products([lhs, rhs], tw.n, 4)
 
 
 def test_iterated_twist_on_four_legs():
@@ -611,6 +612,16 @@ def test_cartan_exponentials_are_built_once_per_twist(monkeypatch):
     assert len(calls) == 3
     assert cocycle_check(tw).passed
     assert len(calls) == 3
+
+
+def test_cocycle_embeds_each_distinct_factor_once(monkeypatch):
+    # e^{-h Theta}, Rt and e^{h beta} on legs 13, 23 and 12, and J on 12 and
+    # 23: both sides share the 11 embeddings
+    tw = build_twist(GL4, None, gl4_beta())
+    made = record_embeddings(monkeypatch)
+    assert cocycle_check(tw).passed
+    assert len(made) == 11 and {k for *_, k in made} == {3}
+    assert len({(id(op), legs) for op, legs, _ in made}) == 11
 
 
 def gl4_betas(count, seed=5):
