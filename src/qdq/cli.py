@@ -16,12 +16,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    InputError,
-    SingularMatrixError,
-    WrongWedgeDimensionError,
-    ZeroInverseError,
-)
+from .errors import InputError, SingularMatrixError, WrongWedgeDimensionError
 from .frt import build_T, frt_check, verify_factorization
 from .io_json import (
     grid_from_json,
@@ -105,9 +100,9 @@ def _parse_sigmas(text, n):
 def _triple_from_args(args) -> BDTriple:
     return BDTriple.make(
         args.n,
-        _parse_roots(getattr(args, "g1", None), "--g1"),
-        _parse_roots(getattr(args, "g2", None), "--g2"),
-        _parse_tau(getattr(args, "tau", None)),
+        _parse_roots(args.g1, "--g1"),
+        _parse_roots(args.g2, "--g2"),
+        _parse_tau(args.tau),
     )
 
 
@@ -137,9 +132,8 @@ def _load_grid(path, n):
 
 def _emit(payload, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -171,14 +165,13 @@ def _report_lines(rep: Report, depth=0):
 
 
 def _finish_report(rep: Report, args) -> int:
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         print(json.dumps(report_to_json(rep), indent=2, sort_keys=True))
     else:
         for line in _report_lines(rep):
             print(line)
-    json_path = getattr(args, "json", None)
-    if json_path:
-        with open(json_path, "w") as fh:
+    if args.json:
+        with open(args.json, "w") as fh:
             json.dump(report_to_json(rep), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_PASS if rep.passed else EXIT_FAIL
@@ -186,12 +179,8 @@ def _finish_report(rep: Report, args) -> int:
 
 def _twist_from_args(args):
     triple = _triple_from_args(args)
-    theta = None
-    if getattr(args, "theta", None):
-        theta = _load_grid(args.theta, args.n)
-    beta = None
-    if getattr(args, "beta", None):
-        beta = _load_grid(args.beta, args.n)
+    theta = _load_grid(args.theta, args.n) if args.theta else None
+    beta = _load_grid(args.beta, args.n) if args.beta else None
     return build_twist(triple, theta, beta)
 
 
@@ -316,11 +305,7 @@ def run(argv=None) -> int:
     except (InputError, OSError) as exc:  # OSError: writing --out or --json
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (
-        SingularMatrixError,
-        ZeroInverseError,
-        WrongWedgeDimensionError,
-    ) as exc:
+    except (SingularMatrixError, WrongWedgeDimensionError) as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except Exception as exc:  # the CLI boundary: any other fault is internal

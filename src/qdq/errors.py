@@ -13,16 +13,16 @@ class FieldMismatchError(QdqError):
     """Operands carry different root orders; caller mixed scalar fields."""
 
 
-class ZeroInverseError(QdqError, ZeroDivisionError):
-    """Inversion of the zero rational function."""
-
-
 class NonRepresentableExponentError(QdqError):
     """q^r requested with r*M not an integer; the root order was computed wrongly."""
 
 
 class SingularMatrixError(QdqError):
     """Exact rank deficiency during inversion."""
+
+
+class ZeroInverseError(SingularMatrixError, ZeroDivisionError):
+    """Inversion of the zero rational function, a singular 1 x 1 matrix."""
 
 
 class SubmatrixSingularError(SingularMatrixError):
@@ -32,18 +32,18 @@ class SubmatrixSingularError(SingularMatrixError):
     is undefined.
     """
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         self.i = i
         self.j = j
-        super().__init__(message or f"submatrix for puncture ({i},{j}) is singular")
+        super().__init__(f"submatrix for puncture ({i},{j}) is singular")
 
 
 class WrongWedgeDimensionError(QdqError):
     """The joint antisymmetric kernel is not 1-dimensional."""
 
-    def __init__(self, dim, message=None):
+    def __init__(self, dim):
         self.dim = dim
-        super().__init__(message or f"top wedge space has dimension {dim}, expected 1")
+        super().__init__(f"top wedge space has dimension {dim}, expected 1")
 
 
 class BetaNotInH0Error(InputError):

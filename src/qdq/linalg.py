@@ -10,11 +10,14 @@ with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
 pure index bookkeeping.
 
-leg_products is the one kernel behind every product of leg-embedded
-operators, leg_embed being its one-factor case.  It builds each factor's
-rows as {column: value} from the small operator's nonzeros, keeps the
-running product in such rows and makes a dense Matrix only at the end.
-Matrices are dense everywhere except inside it and the routine below.
+leg_rows is the one routine that places an operator on tensor legs: it
+gives the operator's rows on V^(x)k as {column: value}, built from the
+small operator's nonzeros, with the legs in any order (op on the legs
+(2, 1) is op conjugated by the flip).  leg_products multiplies ordered
+chains of such factors, keeping the running product in rows and making a
+dense Matrix only at the end; leg_embed is its one-factor case, and the
+top wedge's constraints (qdq.rmatrix) are leg_rows eliminated directly.
+Matrices are dense everywhere except inside these and the routine below.
 
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
@@ -269,10 +272,16 @@ def flip_perm(n: int, field: ScalarField) -> Matrix:
     return m
 
 
-def _leg_rows(op: Matrix, legs, n: int, k: int):
+def leg_rows(op: Matrix, legs, n: int, k: int):
     """Rows {column: value} of op on the named legs of V^(x)k, extended by
-    the identity elsewhere: op[r][c] lands at (base[r] + off, base[c] + off)
-    for each offset off of the other legs, base the weight of op's indices."""
+    the identity elsewhere; a zero row of op gives empty rows.
+
+    legs are 1-based and in the order of op's own factors, so op on the
+    legs (2, 1) is op conjugated by the flip.  op[r][c] lands at
+    (base[r] + off, base[c] + off) for each offset off of the other legs,
+    base the weight of op's indices.  Every row is a new dict, which the
+    caller may reduce in place.
+    """
     legs = tuple(legs)
     if len(set(legs)) != len(legs):
         raise ValueError(f"duplicate legs in {legs}")
@@ -313,7 +322,7 @@ def leg_products(chains, n: int, k: int) -> list:
         for op, legs in chain:
             key = (id(op), tuple(legs))
             if key not in embedded:
-                embedded[key] = _leg_rows(op, legs, n, k)
+                embedded[key] = leg_rows(op, legs, n, k)
             rows = embedded[key]
             if prod is not None:
                 rows = [_row_times(row, rows) for row in prod]

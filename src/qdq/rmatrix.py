@@ -26,6 +26,7 @@ from .linalg import (
     kernel_basis,
     leg_embed,  # unused here; perfbench's tracer tests read this binding
     leg_products,
+    leg_rows,
     sparse_kernel,
 )
 from .report import Report, equality_report, timed
@@ -96,27 +97,15 @@ def wedge_top(rhat: Matrix, n: int):
     """Spanning vector of the joint antisymmetric kernel in V^(x)n.
 
     Computes the intersection of ker(Rhat_{i,i+1} + 1/q) over i = 1..n-1
-    with sparse_kernel.  Each constraint row is built as {column: value}
-    from the nonzeros of C = Rhat + 1/q: on the legs (i, i+1), C's index
-    sits at weight n^(n-i-1), so column c of C becomes c * n^(n-i-1) plus
-    the offset of the other legs.  Asserts the intersection is
-    one-dimensional and normalizes the first nonzero coordinate (in
-    lexicographic basis order) to 1.
+    with sparse_kernel, its rows the nonzero leg_rows of C = Rhat + 1/q on
+    the legs (i, i+1).  Asserts the intersection is one-dimensional and
+    normalizes the first nonzero coordinate (in lexicographic basis order)
+    to 1.
     """
     field = rhat.field
-    dim = n**n
-    if n == 1:
-        return [field.one]
-    constraint = rhat + Matrix.identity(n * n, field).scale(field.q_inv)
-    c_rows = [[(c, x) for c, x in enumerate(row) if x] for row in constraint.entries]
-    c_rows = [row for row in c_rows if row]
-    rows = []
-    for i in range(1, n):
-        low = n ** (n - i - 1)  # weight of leg i + 1
-        for high in range(0, dim, n * n * low):  # the legs before i
-            for off in range(high, high + low):  # and the legs after i + 1
-                rows.extend({c * low + off: x for c, x in row} for row in c_rows)
-    basis = sparse_kernel(rows, dim, field.zero, field.one)
+    c = rhat + Matrix.identity(n * n, field).scale(field.q_inv)
+    rows = [row for i in range(1, n) for row in leg_rows(c, (i, i + 1), n, n) if row]
+    basis = sparse_kernel(rows, n**n, field.zero, field.one)
     if len(basis) != 1:
         raise WrongWedgeDimensionError(len(basis))
     return basis[0]
@@ -137,9 +126,11 @@ def l_plus(r_j: Matrix, k: int) -> Matrix:
 
 
 def l_minus(r_j: Matrix, k: int) -> Matrix:
-    """L- on V (x) V^(x)k: as L+ but built from R21^{-1} = flip . R^{-1} . flip."""
-    p = flip_perm(isqrt(r_j.rows), r_j.field)
-    return l_plus(p * gauss_invert(r_j) * p, k)
+    """L- on V (x) V^(x)k, the mirror of L+: R_{k,0}^{-1} ... R_{1,0}^{-1},
+    that is L+ built from R21^{-1}."""
+    inv = gauss_invert(r_j)
+    factors = [(inv, (j, 1)) for j in range(k + 1, 1, -1)]
+    return leg_products([factors], isqrt(r_j.rows), k + 1)[0]
 
 
 def cartan_exp(a_grid, field: ScalarField) -> Matrix:

@@ -283,9 +283,6 @@ class ScalarField:
             self,
         )
 
-    def q_power(self, r) -> RatFunc:
-        return q_power(r, self)
-
 
 def _make(num, den, field) -> RatFunc:
     num = _ptrim(num)

@@ -16,7 +16,7 @@ build, entirely at the level of operators on V (x) V:
   * the twist J = e^{-h Theta} Rt e^{h beta}, Rt = e^{hZ} J', with beta an
     antisymmetric Cartan tensor supported on h0 (x) h0,
     h0 = {y : (y, x) = (y, tau(x))},
-  * the twisted braiding R_J = flip J^{-1} flip . R . J.
+  * the twisted braiding R_J = J21^{-1} R J, J21 being J on the legs (2, 1).
 
 The twist property itself is never assumed: cocycle_check evaluates both
 sides of the coproduct identity on V (x) V (x) V exactly, multiplying out
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    flip_perm,
     gauss_invert,
     invert_grid,
     kernel_basis_grid,
@@ -350,8 +349,9 @@ def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:
     j_factors = (cartan_exp(minus_theta, field), cartan_exp(z, field) * jp,
                  cartan_exp(beta, field))
     j_vv = j_factors[0] * j_factors[1] * j_factors[2]
-    p = flip_perm(n, field)
-    r_j = p * gauss_invert(j_vv) * p * standard_r(n, field) * j_vv
+    # R_J = J21^{-1} R J, J21 being J on the legs (2, 1)
+    chain = [(gauss_invert(j_vv), (2, 1)), (standard_r(n, field), (1, 2)), (j_vv, (1, 2))]
+    r_j = leg_products([chain], n, 2)[0]
     return Twist(
         triple=t,
         theta=theta,

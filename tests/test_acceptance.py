@@ -5,10 +5,14 @@ criterion.  All equalities are structural over Q(s); there are no
 tolerances anywhere.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import permutations
+
+import pytest
 
 from qdq.errors import SubmatrixSingularError
 from qdq.frt import (
@@ -20,6 +24,7 @@ from qdq.frt import (
     qdet_coaction,
     verify_factorization,
 )
+from qdq.io_json import report_to_json
 from qdq.linalg import Matrix, kron
 from qdq.quasidet import (
     NCSquare,
@@ -277,4 +282,35 @@ def test_negative_controls():
     assert not rep.passed
     assert rep.witness is not None and "coords" in rep.witness
     assert rep.witness["lhs"] != rep.witness["rhs"]
+    done()
+
+
+def _without_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _without_ms(v) for k, v in obj.items() if k != "ms"}
+    if isinstance(obj, list):
+        return [_without_ms(v) for v in obj]
+    return obj
+
+
+# sha256 of the census reports, their ms stripped; recorded before R_J,
+# L- and the wedge constraints were built from leg orders
+CENSUS_DIGESTS = {
+    (1, 1): "2dcc9801c3077946f1e15cc64d23109126b3f983b7bf4a529dd319a165771d6a",
+    (2, 1): "401e9e4132f19326c6c90b98957a6c10a4f75e54633cdd0b6031933e86b74997",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CENSUS_DIGESTS), ids=lambda k: f"k{k[0]}{k[1]}")
+def test_census_n_up_to_4(k):
+    done = budget(f"census n <= 4, k = {k}", 60.0)
+    reports = []
+    for n in (2, 3, 4):
+        for t in enumerate_triples(n):
+            rep = verify_factorization(build_twist(t), *k)
+            assert rep.passed, (t, k)
+            reports.append(_without_ms(report_to_json(rep)))
+    assert len(reports) == 11
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == CENSUS_DIGESTS[k]
     done()

@@ -167,13 +167,13 @@ def record_embeddings(monkeypatch):
     """The list of (op, legs, k) that the leg kernel fills, one entry per
     embedding it makes."""
     made = []
-    inner = qdq.linalg._leg_rows
+    inner = qdq.linalg.leg_rows
 
     def recording(op, legs, n, k):
         made.append((op, tuple(legs), k))
         return inner(op, legs, n, k)
 
-    monkeypatch.setattr(qdq.linalg, "_leg_rows", recording)
+    monkeypatch.setattr(qdq.linalg, "leg_rows", recording)
     return made
 
 

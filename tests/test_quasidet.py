@@ -218,6 +218,18 @@ def test_inverse_via_quasiminors_operator_entries():
     assert inv == NCSquare.from_flat(gauss_invert(x.flatten()), 3)
 
 
+def test_singular_square_raises_singular_matrix_error_in_both_rings():
+    # the rank-1 square as scalars and as 2 x 2 operator blocks: the zero
+    # quasiminor's .inv() is a zero scalar in one ring, a zero matrix in the
+    # other, and both are singular
+    ident = Matrix.identity(2, F)
+    for x in (scalar_square([[1, 2], [2, 4]]), NCSquare([[ident, ident], [ident, ident]], F)):
+        with pytest.raises(SingularMatrixError):
+            inverse_via_quasiminors(x)
+        with pytest.raises(SingularMatrixError):
+            gauss_invert(x.flatten())
+
+
 def rand_unitriangular(rng, m, lower):
     grid = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     for i in range(m):

@@ -2,13 +2,16 @@
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt
 
 import pytest
+from test_frt import cg_twist, gl4_with_beta
 from test_linalg import record_embeddings
 
+import qdq.linalg
 import qdq.rmatrix
 import qdq.twist
 from qdq.errors import NonRepresentableExponentError, WrongWedgeDimensionError
@@ -20,6 +23,7 @@ from qdq.linalg import (
     gauss_invert,
     leg_embed,
 )
+from qdq.frt import verify_factorization
 from qdq.quasidet import NCSquare
 from qdq.report import mismatch_witness
 from qdq.rmatrix import (
@@ -233,11 +237,16 @@ def test_wedge_wrong_dimension_detected():
         wedge_top(Matrix.zeros(4, 4, F), 2)
 
 
+def braidings():
+    """The standard R for n = 2, 3, then twisted R_J: Cremmer-Gervais gl3
+    and gl4 1->3 with a nonzero beta."""
+    return [standard_r(2, F), standard_r(3, F), cg_twist().r_j, gl4_with_beta().r_j]
+
+
 def test_l_plus_minus_flatten_identities():
-    for n in (2, 3):
-        r = standard_r(n, F)
+    for r in braidings():
         assert l_plus(r, 1) == r
-        p = flip_perm(n, F)
+        p = flip_perm(isqrt(r.rows), r.field)
         assert l_minus(r, 1) == p * gauss_invert(r) * p
 
 
@@ -284,16 +293,33 @@ def test_block_triangularity_untwisted():
 
 def test_l_plus_hexagon_k2():
     # L+ at k=2 is R_{02} R_{01} as an operator on V x V x V
-    for n in (2, 3):
-        r = standard_r(n, F)
+    for r in braidings():
+        n = isqrt(r.rows)
         r02 = leg_embed(r, (1, 3), n, 3)
         r01 = leg_embed(r, (1, 2), n, 3)
         assert l_plus(r, 2) == r02 * r01
-        p = flip_perm(n, F)
+        p = flip_perm(n, r.field)
         rt = p * gauss_invert(r) * p
         rt02 = leg_embed(rt, (1, 3), n, 3)
         rt01 = leg_embed(rt, (1, 2), n, 3)
         assert l_minus(r, 2) == rt02 * rt01
+
+
+def test_only_r_hat_conjugates_by_the_flip(monkeypatch):
+    # R_J and L- place their operators by leg order; the flip is R-hat's
+    # left factor and nothing else in a battery
+    real = qdq.linalg.flip_perm
+    callers = []
+
+    def recording(n, field):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(n, field)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qdq") and getattr(mod, "flip_perm", None) is real:
+            monkeypatch.setattr(mod, "flip_perm", recording)
+    assert verify_factorization(gl4_with_beta()).passed
+    assert callers and set(callers) == {"r_hat"}
 
 
 def test_cartan_exp():
