@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     """Outcome of one exact identity check.
 

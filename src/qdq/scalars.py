@@ -8,7 +8,16 @@ s.  Polynomials are stored dense in ascending degree; the canonical form
 (coprime numerator/denominator, monic denominator) is unique, so equality
 is structural.
 
-Rationals are fractions.Fraction, which prints as "p/q".
+Coefficients are exact rationals held as Python ints whenever they are
+integral and as fractions.Fraction (denominator > 1) only when they are
+not; every path that builds a coefficient goes through _coeff, _div or
+_ints, so no coefficient is a float or an integral Fraction.  Since
+1 == Fraction(1), hash(1) == hash(Fraction(1)) and str(3) ==
+str(Fraction(3)), an int coefficient compares, hashes and prints exactly
+as the Fraction it replaces: equality stays structural and a constant
+still hashes like the rational it holds.  Values handed to callers as
+rationals (as_rational, evaluate) are fractions.Fraction, which prints
+as "p/q".
 """
 
 from __future__ import annotations
@@ -24,13 +33,38 @@ from .errors import (
 
 Q = Fraction  # exact rational number, canonical and hashable
 
-_Q0 = Q(0)
-_Q1 = Q(1)
+_Q0 = 0
+_Q1 = 1
 
 
 def as_rational(x):
     """Coerce int / Fraction / 'p/q' string to a Fraction."""
     return Fraction(x)
+
+
+def _coeff(x):
+    """x as a coefficient: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    c = Fraction(x)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient a/b of coefficients, an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    c = a / b
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ints(cs):
+    """cs with every integral Fraction made an int; cs itself when none is
+    a Fraction, the usual case, found by one scan at C speed."""
+    if Fraction not in map(type, cs):
+        return cs
+    return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
 
 
 def lcm_denominators(values) -> int:
@@ -42,8 +76,8 @@ def lcm_denominators(values) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over Q: tuples of rationals, ascending degree, no
-# trailing zeros; the zero polynomial is the empty tuple.
+# Dense polynomials over Q: tuples of coefficients (see _coeff), ascending
+# degree, no trailing zeros; the zero polynomial is the empty tuple.
 # ---------------------------------------------------------------------------
 
 def _ptrim(cs):
@@ -59,7 +93,7 @@ def _padd(a, b):
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _ptrim(out)
+    return _ptrim(_ints(out))
 
 
 def _pneg(a):
@@ -71,17 +105,17 @@ def _pmul(a, b):
         return ()
     if len(a) == 1:
         c = a[0]
-        return tuple(c * x if x else x for x in b)
+        return tuple(_ints([c * x if x else x for x in b]))
     if len(b) == 1:
         c = b[0]
-        return tuple(c * x if x else x for x in a)
+        return tuple(_ints([c * x if x else x for x in a]))
     out = [_Q0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return _ptrim(out)
+    return _ptrim(_ints(out))
 
 
 def _pdivmod(a, b):
@@ -95,7 +129,7 @@ def _pdivmod(a, b):
     lb = b[-1]
     q = [_Q0] * (len(a) - db)
     for k in range(len(a) - len(b), -1, -1):
-        c = r[db + k] / lb
+        c = _div(r[db + k], lb)
         if c:
             q[k] = c
             for i in range(db + 1):
@@ -122,7 +156,7 @@ def _pmonic(a):
     lc = a[-1]
     if lc == 1:
         return tuple(a)
-    return tuple(c / lc for c in a)
+    return tuple(_div(c, lc) for c in a)
 
 
 def _valuation(a):
@@ -190,7 +224,7 @@ def _pgcd(a, b):
                 g = math.gcd(g, c)
             r = [c // g for c in r]
         u, w = w, r
-    core = _pmonic(tuple(Q(c) for c in reversed(u)))
+    core = _pmonic(tuple(reversed(u)))
     if v:
         core = ((_Q0,) * v) + tuple(c for c in core)
         # re-trim not needed: leading coefficient of core is 1
@@ -198,7 +232,7 @@ def _pgcd(a, b):
 
 
 def _peval(a, x):
-    acc = _Q0
+    acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -262,7 +296,7 @@ class ScalarField:
 
     def monomial(self, e: int, coeff=_Q1) -> RatFunc:
         """coeff * s^e, e may be negative."""
-        c = as_rational(coeff)
+        c = _coeff(coeff)
         if not c:
             return self.zero
         if e >= 0:
@@ -270,7 +304,7 @@ class ScalarField:
         return RatFunc._raw((c,), (_Q0,) * (-e) + (_Q1,), self)
 
     def from_rational(self, x) -> RatFunc:
-        c = as_rational(x)
+        c = _coeff(x)
         if not c:
             return self.zero
         return RatFunc._raw((c,), (_Q1,), self)
@@ -278,8 +312,8 @@ class ScalarField:
     def from_coeffs(self, num, den=(1,)) -> RatFunc:
         """Build and canonicalize from raw coefficient sequences."""
         return _make(
-            tuple(as_rational(c) for c in num),
-            tuple(as_rational(c) for c in den),
+            tuple(_coeff(c) for c in num),
+            tuple(_coeff(c) for c in den),
             self,
         )
 
@@ -297,8 +331,8 @@ def _make(num, den, field) -> RatFunc:
         den = _pdiv_exact(den, g)
     lc = den[-1]
     if lc != 1:
-        num = tuple(c / lc for c in num)
-        den = tuple(c / lc for c in den)
+        num = tuple(_div(c, lc) for c in num)
+        den = tuple(_div(c, lc) for c in den)
     return RatFunc._raw(num, den, field)
 
 
@@ -321,8 +355,8 @@ def _mul_cross_cancel(n1, d1, n2, d2):
     den = _pmul(d1, d2)
     lc = den[-1]
     if lc != 1:
-        num = tuple(c / lc for c in num)
-        den = tuple(c / lc for c in den)
+        num = tuple(_div(c, lc) for c in num)
+        den = tuple(_div(c, lc) for c in den)
     return num, den
 
 
@@ -431,8 +465,8 @@ class RatFunc:
         num, den = self.den, self.num
         lc = den[-1]
         if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
+            num = tuple(_div(c, lc) for c in num)
+            den = tuple(_div(c, lc) for c in den)
         return RatFunc._raw(num, den, self.field)
 
     def __truediv__(self, other):
@@ -471,7 +505,7 @@ class RatFunc:
                 and self.den == other.den
             )
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
+            c = _coeff(other)
             if not c:
                 return not self.num
             return self.den == _ONE_DEN and self.num == (c,)

@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(s): canonical forms, field axioms, q-powers."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,12 @@ from qdq.errors import (
     NonRepresentableExponentError,
     ZeroInverseError,
 )
+from qdq.io_json import ratfunc_from_json, ratfunc_to_json
 from qdq.scalars import (
     Q,
     RatFunc,
     ScalarField,
+    _make,
     _mul_cross_cancel,
     _pdiv_exact,
     _pdivmod,
@@ -241,3 +244,86 @@ def test_str_render():
 def test_rational_helper():
     assert Q(6, 4) == Q(3, 2)
     assert Q(Fraction(2, 6)) == Q(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the all-Fraction representation.  Coefficients are
+# ints where integral; the same value built as raw tuples of Fractions must
+# give results that are equal, hash alike and print alike, and the factory
+# results must hold no float and no integral Fraction.
+# ---------------------------------------------------------------------------
+
+def all_fraction(x):
+    return RatFunc._raw(
+        tuple(Fraction(c) for c in x.num), tuple(Fraction(c) for c in x.den), x.field
+    )
+
+
+def proper_coefficient(c):
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_same(new, old):
+    assert new == old and old == new
+    assert hash(new) == hash(old)
+    assert str(new) == str(old)
+    assert all(map(proper_coefficient, new.num + new.den))
+
+
+@st.composite
+def operands(draw):
+    """A value drawn as Laurent, as integral or as genuinely rational."""
+    kind = draw(st.sampled_from(["laurent", "integral", "rational"]))
+    if kind == "laurent":
+        return draw(laurents())
+    if kind == "integral":
+        ints = st.integers(min_value=-4, max_value=4)
+        num = draw(st.lists(ints, max_size=4))
+        den = draw(st.lists(ints, min_size=1, max_size=3).filter(any))
+        return F1.from_coeffs(num, den)
+    return draw(ratfuncs())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), operands(), st.integers(min_value=-3, max_value=3))
+def test_ring_operations_match_the_all_fraction_representation(x, y, e):
+    ox, oy = all_fraction(x), all_fraction(y)
+    assert_same(x, ox)
+    assert_same(x + y, ox + oy)
+    assert_same(x - y, ox - oy)
+    assert_same(x * y, ox * oy)
+    assert_same(-x, -ox)
+    if y:
+        assert_same(x / y, ox / oy)
+        assert_same(y.inv(), oy.inv())
+    if x or e >= 0:
+        assert_same(x**e, ox**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_rationals, max_size=4),
+    st.lists(small_rationals, min_size=1, max_size=3).filter(any),
+)
+def test_from_coeffs_matches_the_all_fraction_representation(num, den):
+    # den may be non-monic and non-integral: canonicalization divides
+    x = F1.from_coeffs(num, den)
+    old = _make(tuple(map(Fraction, num)), tuple(map(Fraction, den)), F1)
+    assert_same(x, old)
+    assert x.den[-1] == 1
+    for s in (Fraction(2), Fraction(-3), Fraction(1, 3)):
+        d = sum(c * s**i for i, c in enumerate(den))
+        if d:
+            assert x.evaluate(s) == sum(c * s**i for i, c in enumerate(num)) / d
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_json_round_trip_matches_the_all_fraction_representation(x):
+    old = all_fraction(x)
+    enc = ratfunc_to_json(x)
+    assert json.dumps(enc) == json.dumps(ratfunc_to_json(old))
+    back = ratfunc_from_json(enc, F1)
+    assert_same(back, old)
+    assert (back.num, back.den) == (x.num, x.den)
