@@ -317,9 +317,9 @@ def verify_factorization(
 
 
 def perturbed(m: FRTModel, i: int = 1, j: int = 1, delta=None) -> FRTModel:
-    """Copy of the model with one entry of one block shifted (negative control)."""
+    """Negative control: the model with delta (default 1) added to T_ij[1, 1]."""
     f = m.field
-    blocks = [[b.copy() for b in row] for row in m.t_blocks.entries]
-    d = delta if delta is not None else f.one
-    blocks[i - 1][j - 1].entries[0][0] = blocks[i - 1][j - 1].entries[0][0] + d
+    blocks = [list(row) for row in m.t_blocks.entries]
+    b = blocks[i - 1][j - 1]
+    blocks[i - 1][j - 1] = b + Matrix.unit(b.rows, b.cols, 1, 1, f, delta)
     return replace(m, t_blocks=NCSquare(blocks, f))

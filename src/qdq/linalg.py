@@ -8,7 +8,9 @@ leftmost factor is the most significant index digit:
 
 with 1-based factor indices in interfaces and 0-based linear indices
 internally.  This makes leg embeddings (superscript notation such as T13)
-pure index bookkeeping.
+pure index bookkeeping.  from_units builds R, J', the flip and the Cartan
+exponentials from their matrix units, and no module outside this one
+writes into a Matrix grid.
 
 leg_rows is the one routine that places an operator on tensor legs: it
 gives the operator's rows on V^(x)k as {column: value}, built from the
@@ -261,15 +263,25 @@ class TensorIndexing:
         return product(range(1, self.n + 1), repeat=self.legs)
 
 
-def flip_perm(n: int, field: ScalarField) -> Matrix:
-    """The permutation operator v_i (x) v_j -> v_j (x) v_i on V (x) V."""
-    d = n * n
-    m = Matrix.zeros(d, d, field)
-    one = field.one
-    for i in range(n):
-        for j in range(n):
-            m.entries[j * n + i][i * n + j] = one
+def from_units(n: int, units, field: ScalarField) -> Matrix:
+    """The operator sum c E_{r1 c1} (x) ... (x) E_{rk ck} on V^(x)k.
+
+    units maps 1-based (row multi-index, column multi-index) to c, and k is
+    the first key's length; to_linear places each unit, refusing a
+    multi-index of another length or out of range."""
+    if not units:
+        raise ValueError("from_units needs at least one unit to fix the tensor power")
+    ti = TensorIndexing(n, len(next(iter(units))[0]))
+    m = Matrix.zeros(ti.dim, ti.dim, field)
+    for (r, c), x in units.items():
+        m.entries[ti.to_linear(r)][ti.to_linear(c)] = x
     return m
+
+
+def flip_perm(n: int, field: ScalarField) -> Matrix:
+    """The flip v_i (x) v_j -> v_j (x) v_i on V (x) V: sum E_ij (x) E_ji."""
+    v = range(1, n + 1)
+    return from_units(n, {((i, j), (j, i)): field.one for i in v for j in v}, field)
 
 
 def leg_rows(op: Matrix, legs, n: int, k: int):

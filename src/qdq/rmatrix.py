@@ -4,13 +4,11 @@ Conventions (validated at runtime by the Yang-Baxter and Hecke checks):
 
     R(v_a (x) v_b) = q^[a=b] v_a (x) v_b + (q - 1/q) [a > b] v_b (x) v_a
 
-i.e. R = sum_a q E_aa (x) E_aa + sum_{a != b} E_aa (x) E_bb
-       + (q - 1/q) sum_{a < b} E_ab (x) E_ba,
-
-with Rhat = flip . R satisfying (Rhat - q)(Rhat + 1/q) = 0.  The
-antisymmetric eigenvalue is -1/q; the joint antisymmetric kernel in
-V^(x)n is one-dimensional and realizes the quantum determinant comodule.
-The classical limit pins the normalization: R at s = 1 is the identity.
+(standard_r writes R as its matrix units), with Rhat = flip . R satisfying
+(Rhat - q)(Rhat + 1/q) = 0.  The antisymmetric eigenvalue is -1/q; the
+joint antisymmetric kernel in V^(x)n is one-dimensional and realizes the
+quantum determinant comodule.  The classical limit pins the
+normalization: R at s = 1 is the identity.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from .linalg import (
     Matrix,
     TensorIndexing,
     flip_perm,
+    from_units,
     gauss_invert,
     kernel_basis,
     leg_embed,  # unused here; perfbench's tracer tests read this binding
@@ -34,21 +33,12 @@ from .scalars import ScalarField, as_rational, q_power
 
 
 def standard_r(n: int, field: ScalarField) -> Matrix:
-    """The vector-representation image of the universal R-matrix of gl_n."""
-    d = n * n
-    m = Matrix.zeros(d, d, field)
-    one = field.one
-    q = field.q
-    lam = field.q - field.q_inv
-    for a in range(n):
-        for b in range(n):
-            idx = a * n + b
-            m.entries[idx][idx] = q if a == b else one
-    for a in range(n):
-        for b in range(a + 1, n):
-            # E_ab (x) E_ba sends v_b (x) v_a to v_a (x) v_b
-            m.entries[a * n + b][b * n + a] = lam
-    return m
+    """The vector-representation image of the universal R-matrix of gl_n:
+    R = sum_{a,b} q^[a=b] E_aa (x) E_bb + (q - 1/q) sum_{a<b} E_ab (x) E_ba."""
+    v, lam = range(1, n + 1), field.q - field.q_inv
+    units = {((a, b), (a, b)): field.q if a == b else field.one for a in v for b in v}
+    units.update({((a, b), (b, a)): lam for a in v for b in v if a < b})
+    return from_units(n, units, field)
 
 
 def r_hat(r: Matrix) -> Matrix:
@@ -134,17 +124,16 @@ def l_minus(r_j: Matrix, k: int) -> Matrix:
 
 
 def cartan_exp(a_grid, field: ScalarField) -> Matrix:
-    """Diagonal operator on V (x) V scaling v_k (x) v_l by q^{a_kl}.
+    """Diagonal operator on V (x) V scaling v_k (x) v_l by q^{a_kl}:
+    sum_{k,l} q^{a_kl} E_kk (x) E_ll.
 
     Every a_kl * root_order must be an integer."""
     n = len(a_grid)
-    vals = []
-    for k in range(n):
-        if len(a_grid[k]) != n:
-            raise ValueError("exponent grid must be square")
-        for l in range(n):
-            vals.append(q_power(as_rational(a_grid[k][l]), field))
-    return Matrix.diag(vals, field)
+    if any(len(row) != n for row in a_grid):
+        raise ValueError("exponent grid must be square")
+    units = {((k, l), (k, l)): q_power(as_rational(x), field)
+             for k, row in enumerate(a_grid, 1) for l, x in enumerate(row, 1)}
+    return from_units(n, units, field)
 
 
 def weight_exp(c, k: int, field: ScalarField) -> Matrix:

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .errors import (
     FieldMismatchError,
+    InputError,
     NonRepresentableExponentError,
     ZeroInverseError,
 )
@@ -35,6 +36,8 @@ Q = Fraction  # exact rational number, canonical and hashable
 
 _Q0 = 0
 _Q1 = 1
+
+MAX_ROOT_ORDER = 1024  # q = s^M holds M + 1 coefficients, and M is user input
 
 
 def as_rational(x):
@@ -278,6 +281,8 @@ class ScalarField:
     def __init__(self, root_order: int = 1):
         if not isinstance(root_order, int) or root_order < 1:
             raise ValueError(f"root order must be a positive integer, got {root_order!r}")
+        if root_order > MAX_ROOT_ORDER:
+            raise InputError(f"root order {root_order} exceeds the bound {MAX_ROOT_ORDER}")
         self.root_order = root_order
         self.zero = RatFunc._raw((), (_Q1,), self)
         self.one = RatFunc._raw((_Q1,), (_Q1,), self)

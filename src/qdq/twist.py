@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    from_units,
     gauss_invert,
     invert_grid,
     kernel_basis_grid,
@@ -237,7 +238,8 @@ def _solve_theta(t: BDTriple, z):
         raise NoSolutionError("moment conditions are inconsistent for a valid triple")
     theta = [x[i * n : (i + 1) * n] for i in range(n)]
     residuals = _residuals(t, z, theta)
-    assert not residuals
+    if residuals:
+        raise NoSolutionError(f"solved Theta leaves moment residuals {residuals}")
     return theta, residuals
 
 
@@ -297,29 +299,20 @@ def _check_beta(beta, t: BDTriple):
 
 
 def jprime_matrix(t: BDTriple, field: ScalarField) -> Matrix:
-    """Unipotent part of the twist on V (x) V.
+    """Unipotent part of the twist on V (x) V:
+    J' = 1 + (q - 1/q) sum E_{tau(i), tau(j)} (x) E_{j, i}.
 
-    One term per ordered pair i < j inside each block's vertex interval;
-    the first leg carries the relabeled raising unit E_{tau(i), tau(j)},
-    the second the lowering unit E_{j, i}.  Cross terms of the underlying
-    exponential vanish on V (x) V because consecutive matrix units
-    annihilate, so this closed form is exact.
+    One term per pair i < j in each block's vertex interval, tau its vertex
+    map.  Cross terms of the underlying exponential vanish on V (x) V, as
+    consecutive matrix units annihilate, so this closed form is exact; the
+    intervals are disjoint, so no two terms share a position.
     """
-    n = t.n
-    lam = field.q - field.q_inv
-    m = Matrix.identity(n * n, field)
-    tau = t.tau
+    v, lam = range(1, t.n + 1), field.q - field.q_inv
+    units = {((a, b), (a, b)): field.one for a in v for b in v}
     for start, end in t.blocks():
-        verts = list(range(start, end + 2))
-        shift = tau[start] - start
-        for x, vi in enumerate(verts):
-            for vj in verts[x + 1 :]:
-                # E_{tau(vi), tau(vj)} (x) E_{vj, vi} with tau the vertex map
-                a, b = vi + shift, vj + shift
-                row = (a - 1) * n + (vj - 1)
-                col = (b - 1) * n + (vi - 1)
-                m.entries[row][col] = m.entries[row][col] + lam
-    return m
+        d, verts = t.tau[start] - start, range(start, end + 2)
+        units.update({((i + d, j), (j + d, i)): lam for i in verts for j in verts if i < j})
+    return from_units(t.n, units, field)
 
 
 def build_twist(t: BDTriple, theta=None, beta=None) -> Twist:

@@ -13,7 +13,7 @@ from qdq.io_json import matrix_from_json, ncsquare_to_json
 from qdq.linalg import Matrix
 from qdq.quasidet import NCSquare
 from qdq.rmatrix import standard_r
-from qdq.scalars import ScalarField
+from qdq.scalars import MAX_ROOT_ORDER, ScalarField
 from qdq.twist import enumerate_triples
 
 
@@ -638,3 +638,20 @@ def test_cli_outputs_golden_digest(capsys, tmp_path):
         hashlib.sha256(blob).hexdigest()
         == "20df6a0c41424b416d50c0498d16c85c672eda64a4ca508af05487a431762656"
     )
+
+
+def test_root_order_past_the_bound_is_a_usage_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "std-r", "--n", "2", "--root-order", str(MAX_ROOT_ORDER + 1))
+    assert code == 2 and out == "" and "exceeds the bound" in err
+    # a Theta entry 1/1031 asks for the root order 1031, and the JSON float
+    # 0.1 is read exactly, with the denominator 2^55
+    theta = tmp_path / "theta.json"
+    for entry, order in [("1/1031", 1031), (0.1, 2**55)]:
+        theta.write_text(json.dumps({"theta": [[entry, "0"], ["0", "0"]]}))
+        code, out, err = invoke(capsys, "check", "cocycle", "--n", "2", "--theta", str(theta))
+        assert code == 2 and out == "" and f"root order {order} exceeds" in err
+    square = tmp_path / "x.json"
+    one = {"num": ["1"], "den": ["1"]}
+    square.write_text(json.dumps({"root_order": MAX_ROOT_ORDER + 1, "size": 1, "entries": [[one]]}))
+    code, out, err = invoke(capsys, "quasidet", "--file", str(square), "--i", "1", "--j", "1")
+    assert code == 2 and out == "" and "exceeds the bound" in err

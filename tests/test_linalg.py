@@ -8,6 +8,7 @@ import pytest
 from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows as dense_rref_rows
 from dense_elimination import solve_particular as dense_solve_particular
+import loop_builders
 
 import qdq.linalg
 from qdq.errors import SingularMatrixError, WrongWedgeDimensionError
@@ -16,6 +17,7 @@ from qdq.linalg import (
     TensorIndexing,
     first_mismatch,
     flip_perm,
+    from_units,
     gauss_invert,
     invert_grid,
     kernel_basis,
@@ -811,3 +813,31 @@ def test_large_solve_particular_matches_dense_oracle(value, zero, one):
         assert solve_particular(dict_rows(rows), ncols, rhs, zero, one) == want
         seen.add("inconsistent" if want is None else "consistent")
     assert seen == {"inconsistent", "consistent"}
+
+
+def test_from_units_places_each_unit_as_a_kronecker_product():
+    # c E_13 (x) E_21 + E_33 (x) E_33 on V (x) V, and a unit on three legs
+    e = lambda i, j, c=None: Matrix.unit(3, 3, i, j, F, c)
+    got = from_units(3, {((1, 2), (3, 1)): F.q, ((3, 3), (3, 3)): F.one}, F)
+    assert got == kron(e(1, 3, F.q), e(2, 1)) + kron(e(3, 3), e(3, 3))
+    got = from_units(3, {((2, 1, 3), (1, 3, 3)): F.s}, F)
+    assert got == kron(kron(e(2, 1, F.s), e(1, 3)), e(3, 3))
+
+
+@pytest.mark.parametrize(
+    "units, match",
+    [
+        ({((0, 1), (1, 1)): F.one}, "out of range"),
+        ({((1, 1), (1, 3)): F.one}, "out of range"),
+        ({((1, 1), (1, 1)): F.one, ((1,), (2,)): F.one}, "wrong number"),
+        ({}, "at least one unit"),
+    ],
+)
+def test_from_units_refuses_bad_multi_indices(units, match):
+    with pytest.raises(ValueError, match=match):
+        from_units(2, units, F)
+
+
+def test_flip_perm_matches_the_loop_oracle():
+    for n in range(1, 7):
+        assert flip_perm(n, F) == loop_builders.flip_perm(n, F), n

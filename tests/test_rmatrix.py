@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import isqrt
 
+import loop_builders
 import pytest
 from test_frt import cg_twist, gl4_with_beta
 from test_linalg import record_embeddings
@@ -352,3 +353,27 @@ def test_weight_exp():
     ti = TensorIndexing(2, 2)
     assert m2.entries[ti.to_linear((1, 2))][ti.to_linear((1, 2))].is_one()
     assert m2.entries[ti.to_linear((1, 1))][ti.to_linear((1, 1))] == F.q * F.q
+
+
+@pytest.mark.parametrize("root_order", [1, 2])
+def test_standard_r_matches_the_loop_oracle(root_order):
+    f = ScalarField(root_order)
+    for n in range(1, 7):
+        assert standard_r(n, f) == loop_builders.standard_r(n, f), n
+
+
+def test_cartan_exp_matches_the_loop_oracle_on_random_grids():
+    rng = random.Random(25)
+    for _ in range(30):
+        f = ScalarField(rng.choice([1, 2, 3, 6]))
+        n = rng.randint(1, 4)
+        grid = [
+            [Fraction(rng.randint(-6, 6), rng.choice([1, f.root_order])) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert cartan_exp(grid, f) == loop_builders.cartan_exp(grid, f), grid
+
+
+def test_cartan_exp_refuses_a_grid_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        cartan_exp([[0, 0], [0]], F)

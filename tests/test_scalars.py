@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from qdq.errors import (
     FieldMismatchError,
+    InputError,
     NonRepresentableExponentError,
     ZeroInverseError,
 )
 from qdq.io_json import ratfunc_from_json, ratfunc_to_json
 from qdq.scalars import (
+    MAX_ROOT_ORDER,
     Q,
     RatFunc,
     ScalarField,
@@ -327,3 +329,11 @@ def test_json_round_trip_matches_the_all_fraction_representation(x):
     back = ratfunc_from_json(enc, F1)
     assert_same(back, old)
     assert (back.num, back.den) == (x.num, x.den)
+
+
+def test_root_order_is_bounded():
+    # q = s^M holds M + 1 coefficients, so an unbounded M from user input
+    # would ask for any amount of memory before a check could refuse it
+    assert ScalarField(MAX_ROOT_ORDER).q.num[-1] == 1
+    with pytest.raises(InputError, match="exceeds the bound"):
+        ScalarField(MAX_ROOT_ORDER + 1)

@@ -1,11 +1,16 @@
 """Opt-in stress checks beyond the acceptance scale (pytest -m slow)."""
 
+import hashlib
+import json
+
 import pytest
 
 from qdq.frt import build_T, qdet_coaction, verify_factorization
+from qdq.io_json import report_to_json
 from qdq.quasidet import all_sigmas
-from qdq.twist import BDTriple, build_twist
+from qdq.twist import BDTriple, build_twist, enumerate_triples
 
+from test_acceptance import _without_ms
 from test_frt import coaction_defects, wedge_of
 
 
@@ -42,3 +47,21 @@ def test_gl6_two_root_battery():
     ]
     (orderings,) = [sub for sub in subs if sub.check == "det-sigma-consistency"]
     assert orderings.ms < 500, orderings.ms
+
+
+# sha256 of the n = 5 census reports, their ms stripped; recorded before
+# R, J', the flip and the Cartan exponentials were built from matrix units
+CENSUS_5_DIGEST = "7ff63a51a356a6a8dba1631cbd5199811b73834c86dfb0c4e82de18162fc44fc"
+
+
+@pytest.mark.slow
+def test_census_n5():
+    # every valid triple of gl5 at k = (1,1), all 120 orderings each
+    reports = []
+    for t in enumerate_triples(5):
+        rep = verify_factorization(build_twist(t))
+        assert rep.passed and rep.params["sigmas"] == 120, t
+        reports.append(_without_ms(report_to_json(rep)))
+    assert len(reports) == 19
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == CENSUS_5_DIGEST

@@ -7,10 +7,17 @@ from fractions import Fraction
 import pytest
 from dense_elimination import invert_grid as dense_invert_grid
 from dense_elimination import rref_rows
+import loop_builders
 from test_linalg import dense_kernel, record_embeddings
 
 import qdq.twist
-from qdq.errors import BetaNotInH0Error, InvalidTripleError, OrderReversingError
+from qdq.errors import (
+    BetaNotInH0Error,
+    InputError,
+    InvalidTripleError,
+    NoSolutionError,
+    OrderReversingError,
+)
 from qdq.linalg import (
     Matrix,
     TensorIndexing,
@@ -28,7 +35,7 @@ from qdq.rmatrix import (
     wedge_top,
     ybe_check,
 )
-from qdq.scalars import Q
+from qdq.scalars import Q, ScalarField
 from qdq.twist import (
     BDTriple,
     ThetaSolution,
@@ -37,6 +44,7 @@ from qdq.twist import (
     cocycle_check,
     coproduct_factors,
     enumerate_triples,
+    jprime_matrix,
     p_vector,
     solve_theta,
     theta_residuals,
@@ -657,3 +665,29 @@ def test_j_is_the_product_of_its_three_factors():
             cartan_exp(tw.beta, f),
         ), tw.triple
         assert tw.j_vv == cartan_exp(y, f) * tw.jprime_vv * cartan_exp(tw.beta, f), tw.triple
+
+
+@pytest.mark.parametrize("root_order", [1, 2])
+def test_jprime_matches_the_loop_oracle_on_every_triple(root_order):
+    f = ScalarField(root_order)
+    triples = [t for n in range(2, 7) for t in enumerate_triples(n)]
+    assert len(triples) == 81
+    for t in triples:
+        assert jprime_matrix(t, f) == loop_builders.jprime_matrix(t, f), t
+
+
+def test_unsolved_moment_residuals_raise(monkeypatch):
+    # the solver's own residual check is a raise, not an assert that
+    # python -O would strip
+    monkeypatch.setattr(qdq.twist, "_residuals", lambda t, z, theta: [("row-moment", 1, 1, 1)])
+    with pytest.raises(NoSolutionError, match="residuals"):
+        solve_theta(CG)
+    with pytest.raises(NoSolutionError):
+        build_twist(CG)
+
+
+def test_build_twist_refuses_a_root_order_past_the_bound():
+    # the root order is the lcm of the grids' denominators: 1031 is prime
+    theta = [[Fraction(1, 1031), 0], [0, 0]]
+    with pytest.raises(InputError, match="root order 1031 exceeds the bound"):
+        build_twist(BDTriple.make(2), theta)
