@@ -38,6 +38,7 @@ _Q0 = 0
 _Q1 = 1
 
 MAX_ROOT_ORDER = 1024  # q = s^M holds M + 1 coefficients, and M is user input
+MAX_EXPONENT = 1 << 16  # q^r = s^(rM) holds |rM| + 1 coefficients, and r is user input
 
 
 def as_rational(x):
@@ -445,21 +446,40 @@ class RatFunc:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self or not other:
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        elif other.field is not self.field:
+            self._check(other)
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return self.field.zero
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        if not any(d1[:-1]) and not any(d2[:-1]):
-            # Laurent values over s^a and s^b: the product over s^(a+b)
-            # cancels only by the power of s that divides its numerator
-            num = _pmul(n1, n2)
-            e = len(d1) + len(d2) - 2
-            c = min(_valuation(num), e)
-            return RatFunc._raw(num[c:], (_Q0,) * (e - c) + _ONE_DEN, self.field)
-        return RatFunc._raw(*_mul_cross_cancel(n1, d1, n2, d2), self.field)
+        d1, d2 = self.den, other.den
+        e1, e2 = len(d1) - 1, len(d2) - 1
+        # a monic denominator with e zeros below its top is s^e: Laurent
+        if d1.count(0) != e1 or d2.count(0) != e2:
+            return RatFunc._raw(*_mul_cross_cancel(n1, d1, n2, d2), self.field)
+        if not e2 and n2 == _ONE_DEN:
+            return self
+        if not e1 and n1 == _ONE_DEN:
+            return other
+        if len(n1) - n1.count(0) != 1:
+            if len(n2) - n2.count(0) != 1:
+                # n1/s^e1 times n2/s^e2 over s^(e1+e2) cancels only by
+                # the power of s that divides its numerator
+                num = _pmul(n1, n2)
+                e = e1 + e2
+                c = min(_valuation(num), e)
+                return RatFunc._raw(num[c:], (_Q0,) * (e - c) + _ONE_DEN, self.field)
+            n1, e1, n2, e2 = n2, e2, n1, e1
+        # n1 is c s^v: the product is c s^k times n2 with its low zeros cut
+        c, w = n1[-1], _valuation(n2)
+        k = len(n1) - 1 - e1 - e2 + w
+        num = n2[w:] if c == 1 else tuple(_ints([c * x if x else x for x in n2[w:]]))
+        if k >= 0:
+            return RatFunc._raw((_Q0,) * k + num, _ONE_DEN, self.field)
+        return RatFunc._raw(num, (_Q0,) * -k + _ONE_DEN, self.field)
 
     __rmul__ = __mul__
 
@@ -552,6 +572,7 @@ def q_power(r, field: ScalarField) -> RatFunc:
 
     Defined only when r*M is an integer; otherwise the root order was
     computed wrongly upstream and NonRepresentableExponentError is raised.
+    An exponent |r*M| above MAX_EXPONENT is refused with InputError.
     """
     r = as_rational(r)
     e = r * field.root_order
@@ -559,4 +580,6 @@ def q_power(r, field: ScalarField) -> RatFunc:
         raise NonRepresentableExponentError(
             f"q^{r} is not a power of s at root order {field.root_order}"
         )
+    if abs(e) > MAX_EXPONENT:
+        raise InputError(f"q^{r} is s^{e}, whose exponent exceeds the bound {MAX_EXPONENT}")
     return field.monomial(int(e))

@@ -13,7 +13,7 @@ from qdq.io_json import matrix_from_json, ncsquare_to_json
 from qdq.linalg import Matrix
 from qdq.quasidet import NCSquare
 from qdq.rmatrix import standard_r
-from qdq.scalars import MAX_ROOT_ORDER, ScalarField
+from qdq.scalars import MAX_EXPONENT, MAX_ROOT_ORDER, ScalarField
 from qdq.twist import enumerate_triples
 
 
@@ -655,3 +655,15 @@ def test_root_order_past_the_bound_is_a_usage_error(capsys, tmp_path):
     square.write_text(json.dumps({"root_order": MAX_ROOT_ORDER + 1, "size": 1, "entries": [[one]]}))
     code, out, err = invoke(capsys, "quasidet", "--file", str(square), "--i", "1", "--j", "1")
     assert code == 2 and out == "" and "exceeds the bound" in err
+
+
+def test_cartan_exponent_past_the_bound_is_a_usage_error(capsys, tmp_path):
+    # the integral entry keeps the root order at 1; the exponent bound refuses it
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"theta": [[str(MAX_EXPONENT + 1), "0"], ["0", "0"]]}))
+    code, out, err = invoke(capsys, "check", "cocycle", "--n", "2", "--theta", str(theta))
+    assert code == 2 and out == "" and f"exceeds the bound {MAX_EXPONENT}" in err
+    # the bound itself is admitted
+    theta.write_text(json.dumps({"theta": [[str(MAX_EXPONENT), "0"], ["0", "0"]]}))
+    code, out, err = invoke(capsys, "check", "cocycle", "--n", "2", "--theta", str(theta))
+    assert code == 0 and err == ""

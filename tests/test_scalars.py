@@ -15,6 +15,7 @@ from qdq.errors import (
 )
 from qdq.io_json import ratfunc_from_json, ratfunc_to_json
 from qdq.scalars import (
+    MAX_EXPONENT,
     MAX_ROOT_ORDER,
     Q,
     RatFunc,
@@ -337,3 +338,15 @@ def test_root_order_is_bounded():
     assert ScalarField(MAX_ROOT_ORDER).q.num[-1] == 1
     with pytest.raises(InputError, match="exceeds the bound"):
         ScalarField(MAX_ROOT_ORDER + 1)
+
+
+def test_cartan_exponent_is_bounded():
+    # q^r = s^(rM) holds |rM| + 1 coefficients, and r comes from user grids
+    assert q_power(MAX_EXPONENT, F1) == F1.monomial(MAX_EXPONENT)
+    assert q_power(-MAX_EXPONENT, F1) == F1.monomial(-MAX_EXPONENT)
+    assert q_power(Fraction(MAX_EXPONENT, 2), F2) == F2.monomial(MAX_EXPONENT)
+    assert q_power(1, ScalarField(MAX_ROOT_ORDER)) == ScalarField(MAX_ROOT_ORDER).q
+    for r, f in [(MAX_EXPONENT + 1, F1), (-MAX_EXPONENT - 1, F1),
+                 (Fraction(MAX_EXPONENT + 1, 2), F2)]:
+        with pytest.raises(InputError, match=f"exceeds the bound {MAX_EXPONENT}"):
+            q_power(r, f)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qdq
+import qdq.linalg
 
 MODULES = sorted(Path(qdq.__file__).parent.glob("*.py"))
 
@@ -61,3 +62,20 @@ def test_the_grid_guard_sees_every_form_of_write():
         assert _grid_writes(ast.parse(src)) == [1], src
     for src in reads:
         assert _grid_writes(ast.parse(src)) == [], src
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize(
+    "name", ["rref_rows", "invert_grid", "solve_particular", "sparse_kernel", "_dict_rows"]
+)
+def test_generic_elimination_reads_no_numerator(name):
+    # these serve Fraction entries too, so they test zero by truthiness;
+    # only the RatFunc-only dense loops of linalg may read x.num
+    fn = _function(_tree(Path(qdq.linalg.__file__)), name)
+    lines = [node.lineno for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "num"]
+    assert lines == [], f"{name} reads .num at lines {lines}"

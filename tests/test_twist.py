@@ -27,6 +27,7 @@ from qdq.linalg import (
     solve_particular,
 )
 from qdq.report import equality_report
+from qdq.scalars import MAX_EXPONENT
 from qdq.rmatrix import (
     cartan_exp,
     hecke_check,
@@ -691,3 +692,15 @@ def test_build_twist_refuses_a_root_order_past_the_bound():
     theta = [[Fraction(1, 1031), 0], [0, 0]]
     with pytest.raises(InputError, match="root order 1031 exceeds the bound"):
         build_twist(BDTriple.make(2), theta)
+
+
+@pytest.mark.parametrize("e", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1])
+def test_build_twist_refuses_a_cartan_exponent_past_the_bound(e):
+    # an integral Theta or beta entry keeps the root order at 1, so only the
+    # exponent bound stops cartan_exp from building an (|e|+1)-entry tuple
+    t = BDTriple.make(2)
+    with pytest.raises(InputError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        build_twist(t, [[e, 0], [0, 0]])
+    with pytest.raises(InputError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        build_twist(t, beta=[[0, e], [-e, 0]])
+    assert build_twist(t, [[MAX_EXPONENT, 0], [0, 0]]).field.root_order == 1
