@@ -6,7 +6,10 @@ The generating matrix T is realized with operator entries
 
 W1 = V^(x)k1, W2 = V^(x)k2, with L+/- built from the twisted braiding.
 build_T computes flatten(T) as the product of L+ and L- embedded along
-the matrix leg; the tests compare it with the block sums above.
+the matrix leg, in rows {column: value}; the tests compare it with the
+block sums above.  Every operator after T is almost empty, so the checks
+below multiply, add and compare rows (qdq.linalg), and a dense Matrix is
+made only for a value they return or report.
 
 The verifier checks, all by exact matrix identities:
 
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, first_mismatch, kron, leg_products
+from .linalg import Matrix, first_mismatch, kron, leg_product_rows, matrix_rows, rows_add
+from .linalg import rows_matrix, rows_mismatch, rows_scale, rows_times
 from .linalg import leg_embed  # unused here; perfbench's tracer tests read this binding
 from .quasidet import NCSquare, all_sigmas, check_sigma, corner_factors, det_sigma
 from .report import (
@@ -54,7 +58,12 @@ from .twist import Twist, cocycle_check, p_vector
 @dataclass
 class FRTModel:
     """A twisted quantum-matrix model on W1 (x) W2: T, and the flat L+ on
-    V (x) W1 and L- on V (x) W2 that build_T multiplied into it."""
+    V (x) W1 and L- on V (x) W2 that build_T multiplied into it.
+
+    build_T's T keeps the rows of its blocks (t_blocks.rows), which the
+    battery reads; t_blocks.entries and entry make the dense blocks when
+    read, for tests, demos, perturbed and the JSON encoders.
+    """
 
     twist: Twist
     k1: int
@@ -76,11 +85,12 @@ class FRTModel:
         return self.t_blocks[(i, j)]
 
 
-def _t_flat(a: Matrix, b: Matrix, n: int, k1: int, k2: int) -> Matrix:
-    """flatten(T) = A B, A on V (x) W1 and B on V (x) W2 sharing the matrix leg."""
+def _t_rows(a: Matrix, b: Matrix, n: int, k1: int, k2: int) -> list:
+    """The rows of flatten(T) = A B, A on V (x) W1 and B on V (x) W2
+    sharing the matrix leg."""
     ktot = 1 + k1 + k2
     a_legs, b_legs = (1, *range(2, k1 + 2)), (1, *range(k1 + 2, ktot + 1))
-    return leg_products([[(a, a_legs), (b, b_legs)]], n, ktot)[0]
+    return leg_product_rows([[(a, a_legs), (b, b_legs)]], n, ktot)[0]
 
 
 def _check_powers(k1: int, k2: int):
@@ -92,7 +102,7 @@ def build_T(tw: Twist, k1: int = 1, k2: int = 1) -> FRTModel:
     """T as the product of L+ and L- embedded along the shared matrix leg."""
     _check_powers(k1, k2)
     a, b = l_plus(tw.r_j, k1), l_minus(tw.r_j, k2)
-    t = NCSquare.from_flat(_t_flat(a, b, tw.n, k1, k2), tw.n)
+    t = NCSquare.from_rows(_t_rows(a, b, tw.n, k1, k2), tw.n, tw.field)
     return FRTModel(tw, k1, k2, t, a, b)
 
 
@@ -103,7 +113,8 @@ def frt_check(m: FRTModel) -> Report:
     With A = L+ on V (x) W1 and B = L- on V (x) W2, as the model keeps
     them, the premises are rll_plus (R12 A13 A23 = A23 A13 R12 on
     V (x) V (x) W1), rll_minus (the same for B on V (x) V (x) W2) and
-    t_is_product (flatten(T) = A B as build_T forms it, so T13 = A13 B14).
+    t_is_product (flatten(T) = A B as build_T forms it, so T13 = A13 B14,
+    compared row by row).
     B14 commutes with A23, and B24 with A13, as they act on disjoint legs:
 
         R12 T13 T23 = R12 A13 A23 B14 B24 = A23 A13 R12 B14 B24
@@ -120,7 +131,8 @@ def frt_check(m: FRTModel) -> Report:
     locs = {
         "rll_plus": first_mismatch(*rll_sides(r, a, n, k1)),
         "rll_minus": first_mismatch(*rll_sides(r, b, n, k2)),
-        "t_is_product": first_mismatch(m.t_blocks.flatten(), _t_flat(a, b, n, k1, k2)),
+        "t_is_product": rows_mismatch(m.t_blocks.flat_rows(range(n), range(n)),
+                                      _t_rows(a, b, n, k1, k2), m.field.zero),
     }
     premises = {name: loc is None for name, loc in locs.items()}
     rep = Report("frt", {"n": n, "k1": k1, "k2": k2}, all(premises.values()))
@@ -152,7 +164,8 @@ def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
     Then (T1 ... Tn)(w (x) x) lies in span(w) (x) W for every x.  The
     caller checks the first premise; wedge_top raises unless the second
     holds.  certificate, when given, is a dict that receives the row I0
-    and the support size.
+    and the support size.  The trie sum multiplies, adds and scales the
+    rows of T's blocks, and only D is made a dense Matrix.
     """
     n = m.n
     w = wedge_top(r_hat(m.twist.r_j), n)
@@ -164,6 +177,7 @@ def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
             if not step or step[-1] != K[p]:
                 step.append(K[p])
     row = min(coeffs)
+    t = m.t_blocks.rows
 
     def partial(p, prefix):
         # sum over the K extending prefix of c_K T_{I0[p] k_p} ... T_{I0[n-1] k_n}
@@ -171,15 +185,15 @@ def qdet_coaction(m: FRTModel, certificate=None) -> Matrix:
         for k in nexts[prefix]:
             ext = prefix + (k,)
             if p == n - 1:
-                term = m.entry(row[p], k).scale(coeffs[ext])
+                term = rows_scale(t[row[p] - 1][k - 1], coeffs[ext])
             else:
-                term = m.entry(row[p], k) * partial(p + 1, ext)
-            acc = term if acc is None else acc + term
+                term = rows_times(t[row[p] - 1][k - 1], partial(p + 1, ext))
+            acc = term if acc is None else rows_add(acc, term)
         return acc
 
     if certificate is not None:
         certificate.update(row=list(row), support=len(coeffs))
-    return partial(0, ()).scale(coeffs[row].inv())
+    return rows_matrix(rows_scale(partial(0, ()), coeffs[row].inv()), m.t_blocks.inner, m.field)
 
 
 def f_of_D_image(tw: Twist, k1: int = 1, k2: int = 1) -> Matrix:
@@ -197,13 +211,16 @@ def f_of_D_image(tw: Twist, k1: int = 1, k2: int = 1) -> Matrix:
 
 @timed
 def factors_commute(m: FRTModel, factors=None) -> Report:
-    """Pairwise commutators of the quasiminor factors vanish exactly."""
+    """Pairwise commutators of the quasiminor factors vanish exactly,
+    multiplied and compared in rows."""
     if factors is None:
         factors = corner_factors(m.t_blocks)
+    rows = [matrix_rows(f) for f in factors]
     rep = Report("factors-commute", {"n": m.n, "k1": m.k1, "k2": m.k2}, True)
-    for a in range(len(factors)):
-        for b in range(a + 1, len(factors)):
-            loc = first_mismatch(factors[a] * factors[b], factors[b] * factors[a])
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            ab, ba = rows_times(rows[a], rows[b]), rows_times(rows[b], rows[a])
+            loc = rows_mismatch(ab, ba, m.field.zero)
             if loc is not None:
                 rep.passed = False
                 rep.witness = mismatch_witness(loc, a + 1, b + 1)

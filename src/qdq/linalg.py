@@ -1,10 +1,10 @@
-"""Dense exact linear algebra over Q(s) and tensor-leg operator calculus.
+"""Exact linear algebra over Q(s) and tensor-leg operator calculus.
 
-Matrices are dense row-major grids of RatFunc sharing one ScalarField,
-and a Matrix holds no other entry type.  The canonical form of a RatFunc
-makes its numerator tuple x.num empty exactly when x is zero, so the dense
-loops here (Matrix arithmetic, kron, leg_rows, _row_times) test an entry
-for zero by reading x.num, a few times cheaper than bool(x).
+A Matrix is a dense row-major grid of RatFunc sharing one ScalarField,
+and holds no other entry type.  The canonical form of a RatFunc makes its
+numerator tuple x.num empty exactly when x is zero, so the loops here
+(Matrix arithmetic, kron, leg_rows and the row helpers) test an entry for
+zero by reading x.num, a few times cheaper than bool(x).
 Tensor powers of the n-dimensional space V use the convention that the
 leftmost factor is the most significant index digit:
 
@@ -16,14 +16,16 @@ pure index bookkeeping.  from_units builds R, J', the flip and the Cartan
 exponentials from their matrix units, and no module outside this one
 writes into a Matrix grid.
 
+Sparse operators travel as rows {column: value} holding no zero value.
 leg_rows is the one routine that places an operator on tensor legs: it
-gives the operator's rows on V^(x)k as {column: value}, built from the
-small operator's nonzeros, with the legs in any order (op on the legs
-(2, 1) is op conjugated by the flip).  leg_products multiplies ordered
-chains of such factors, keeping the running product in rows and making a
-dense Matrix only at the end; leg_embed is its one-factor case, and the
-top wedge's constraints (qdq.rmatrix) are leg_rows eliminated directly.
-Matrices are dense everywhere except inside these and the routine below.
+gives the operator's rows on V^(x)k, built from the small operator's
+nonzeros, with the legs in any order (op on the legs (2, 1) is op
+conjugated by the flip).  leg_product_rows multiplies ordered chains of
+such factors row by row (Gustavson's product, _row_times); leg_products
+and leg_embed are its dense forms.  After T is built, the battery
+(qdq.quasidet, qdq.frt) multiplies, adds, scales and compares such rows
+with the helpers beside _row_times, and matrix_rows and rows_matrix
+convert between rows and a dense Matrix where a caller needs one.
 
 One reduced-echelon routine sits at the bottom: rref_rows reduces rows
 stored as {column: value} and carries the columns it does not pivot on
@@ -163,7 +165,7 @@ class Matrix:
         return all(not e.num for r in self.entries for e in r)
 
     def __bool__(self):
-        """Nonzero, as for a scalar: quasideterminants test both entry rings so."""
+        """Nonzero, as for a scalar, so NCSquare tests both entry rings alike."""
         return not self.is_zero()
 
     def is_identity(self):
@@ -324,14 +326,14 @@ def leg_rows(op: Matrix, legs, n: int, k: int):
     return rows
 
 
-def leg_products(chains, n: int, k: int) -> list:
-    """The ordered product of each chain of factors (op, legs) on V^(x)k.
+def leg_product_rows(chains, n: int, k: int) -> list:
+    """The ordered product of each chain of factors (op, legs) on V^(x)k,
+    as rows {column: value}.
 
     op acts on its legs, 1-based and in the order of op's own factors, and
     as the identity elsewhere.  Each distinct (op, legs) is embedded once
     and shared by every chain; entries that cancel to zero are dropped.
     """
-    dim = n**k
     embedded = {}
     out = []
     for chain in chains:
@@ -342,24 +344,83 @@ def leg_products(chains, n: int, k: int) -> list:
                 embedded[key] = leg_rows(op, legs, n, k)
             rows = embedded[key]
             if prod is not None:
-                rows = [_row_times(row, rows) for row in prod]
+                rows = rows_times(prod, rows)
             prod = rows
-        grid = [[op.field.zero] * dim for _ in prod]
-        for g, row in zip(grid, prod):
-            for c, x in row.items():
-                g[c] = x
-        out.append(Matrix(dim, dim, grid, op.field))
+        out.append(prod)
     return out
+
+
+def leg_products(chains, n: int, k: int) -> list:
+    """leg_product_rows of each chain as a dense Matrix."""
+    return [rows_matrix(r, n**k, chains[0][0][0].field) for r in leg_product_rows(chains, n, k)]
 
 
 def _row_times(row, rows):
     """A row times the matrix of rows, all as {column: value}."""
+    if len(row) == 1:
+        # one term scales one row, and Q(s) has no zero divisors
+        ((j, a),) = row.items()
+        return {c: a * b for c, b in rows[j].items()}
     acc = {}
     for j, a in row.items():
         for c, b in rows[j].items():
             y = acc.get(c)
             acc[c] = a * b if y is None else y + a * b
     return {c: x for c, x in acc.items() if x.num}
+
+
+def rows_times(a, b) -> list:
+    """The product of two matrices given as rows, row by row."""
+    return [_row_times(row, b) for row in a]
+
+
+def rows_add(a, b) -> list:
+    """The entrywise sum of two matrices of rows, as new rows."""
+    out = [dict(row) for row in a]
+    for row, rb in zip(out, b):
+        for c, x in rb.items():
+            y = row[c] + x if c in row else x
+            if y.num:
+                row[c] = y
+            else:
+                del row[c]
+    return out
+
+
+def rows_scale(rows, c: RatFunc) -> list:
+    """c times a matrix of rows; c must be nonzero."""
+    return [{j: c * x for j, x in row.items()} for row in rows]
+
+
+def rows_mismatch(a, b, zero):
+    """first_mismatch of two square matrices of rows, an absent column read
+    as zero: the row-major first (i, j, a_ij, b_ij), or None when equal.
+
+    Squares of different sizes give first_mismatch's shape result.
+    """
+    if len(a) != len(b):
+        return (None, None, (len(a), len(a)), (len(b), len(b)))
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        if ra != rb:
+            j = min(c for c in ra.keys() | rb.keys() if ra.get(c) != rb.get(c))
+            return (i, j, ra.get(j, zero), rb.get(j, zero))
+    return None
+
+
+def matrix_rows(m: Matrix) -> list:
+    """The rows {column: value} of a dense Matrix."""
+    return [{j: x for j, x in enumerate(row) if x.num} for row in m.entries]
+
+
+def rows_matrix(rows, cols: int, field: ScalarField) -> Matrix:
+    """The dense Matrix of rows {column: value} with cols columns."""
+    grid = []
+    for row in rows:
+        g = [field.zero] * cols
+        for c, x in row.items():
+            g[c] = x
+        grid.append(g)
+    return Matrix(len(grid), cols, grid, field)
 
 
 def leg_embed(op: Matrix, legs, n: int, k: int) -> Matrix:

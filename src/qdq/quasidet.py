@@ -16,7 +16,11 @@ quasiminors recovers the determinant in the commutative case:
 Entries are either scalars (RatFunc) or operators (Matrix).  A square of
 operator entries flattens to one Matrix over Q(s), a ring isomorphism:
 T is such a square, and a quasideterminant is one solve through the
-flattening.  A square of scalar entries flattens to its own grid.
+flattening.  Both rings meet in rows {column: value}: an operator entry
+is its rows and a scalar entry x is the one row {0: x}, so the flattening
+of either is made of its entries' rows, and one routine serves both.
+The quasideterminants and det_sigma multiply, add and compare rows, and
+make an entry of the ring only for their result.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import SingularMatrixError, SubmatrixSingularError
-from .linalg import Matrix, rref_rows
+from .linalg import Matrix, matrix_rows, rows_add, rows_matrix, rows_scale, rows_times, rref_rows
 from .scalars import ScalarField
 
 
@@ -33,11 +37,13 @@ class NCSquare:
 
     Entries of both rings support `not e` (zero test), e.inv() and *, so
     the code below is written once; zero and one hold the ring's neutral
-    elements.  Every other ring operation, the quasideterminant's one solve
-    included, goes through the flattening.
+    elements.  The quasideterminants read the entries' rows (rows), and
+    the other ring operations go through the flattening.  A square made
+    from rows (from_rows) keeps them, and makes its dense entries only
+    when they are read.
     """
 
-    __slots__ = ("m", "entries", "field", "inner", "zero", "one")
+    __slots__ = ("m", "field", "inner", "zero", "one", "_entries", "_rows")
 
     def __init__(self, entries, field: ScalarField):
         m = len(entries)
@@ -45,47 +51,71 @@ class NCSquare:
             raise ValueError("NCSquare requires a nonempty grid")
         if any(len(r) != m for r in entries):
             raise ValueError("NCSquare requires a square grid")
-        self.m = m
-        self.entries = entries
-        self.field = field
+        self.m, self.field, self._entries, self._rows = m, field, entries, None
         if isinstance(entries[0][0], Matrix):
-            self.inner = entries[0][0].rows
-            if any(e.rows != self.inner or e.cols != self.inner for r in entries for e in r):
+            d = entries[0][0].rows
+            if any(e.rows != d or e.cols != d for r in entries for e in r):
                 raise ValueError("operator entries must share one square size")
-            self.zero = Matrix.zeros(self.inner, self.inner, field)
-            self.one = Matrix.identity(self.inner, field)
+            self.inner, self.zero, self.one = d, Matrix.zeros(d, d, field), Matrix.identity(d, field)
         else:
-            self.inner = 1
-            self.zero, self.one = field.zero, field.one
+            self.inner, self.zero, self.one = 1, field.zero, field.one
+
+    @classmethod
+    def from_rows(cls, flat, m: int, field: ScalarField) -> NCSquare:
+        """The m x m square of operator blocks of a flat operator given by
+        its rows {column: value}; no dense grid is made."""
+        d = len(flat) // m
+        blocks = [[[{} for _ in range(d)] for _ in range(m)] for _ in range(m)]
+        for i, row in enumerate(flat):
+            for c, x in row.items():
+                blocks[i // d][c // d][i % d][c % d] = x
+        x = object.__new__(cls)
+        x.m, x.field, x._entries, x._rows = m, field, None, blocks
+        x.inner, x.zero, x.one = d, Matrix.zeros(d, d, field), Matrix.identity(d, field)
+        return x
 
     @classmethod
     def from_flat(cls, flat: Matrix, m: int) -> NCSquare:
         """Read a flat operator as an m x m grid of square blocks."""
-        d = flat.rows // m
-        if flat.rows != flat.cols or d * m != flat.rows:
+        if flat.rows != flat.cols or flat.rows % m:
             raise ValueError(f"{flat.rows}x{flat.cols} is no {m}x{m} grid of square blocks")
-        return cls(
-            [
-                [
-                    Matrix(d, d, [row[J * d : (J + 1) * d] for row in rows], flat.field)
-                    for J in range(m)
-                ]
-                for rows in (flat.entries[I * d : (I + 1) * d] for I in range(m))
-            ],
-            flat.field,
-        )
+        return cls.from_rows(matrix_rows(flat), m, flat.field)
+
+    @property
+    def entries(self):
+        """The grid of entries, dense operators for a square of operators."""
+        if self._entries is None:
+            self._entries = [[self.entry_from_rows(e) for e in row] for row in self._rows]
+        return self._entries
+
+    @property
+    def rows(self):
+        """The grid of the entries' rows {column: value}; a scalar entry x
+        is the one row {0: x}."""
+        if self._rows is None:
+            self._rows = [[_rows_of(e) for e in row] for row in self._entries]
+        return self._rows
+
+    def flat_rows(self, rows, cols) -> list:
+        """The rows of the flattening of the square made of the block rows
+        rows and block columns cols (0-based, in that order)."""
+        out = []
+        for I in rows:
+            blocks = [(pos * self.inner, self.rows[I][J]) for pos, J in enumerate(cols)]
+            for r in range(self.inner):
+                out.append({off + c: x for off, b in blocks for c, x in b[r].items()})
+        return out
+
+    def entry_from_rows(self, rows):
+        """rows read back as an entry of this square's ring."""
+        if isinstance(self.one, Matrix):
+            return rows_matrix(rows, self.inner, self.field)
+        return rows[0].get(0, self.field.zero)
 
     def flatten(self) -> Matrix:
         """One Matrix over Q(s): the block grid, or the grid itself for scalars."""
-        if not isinstance(self.one, Matrix):
-            return Matrix(self.m, self.m, self.entries, self.field)
-        dim = self.m * self.inner
-        flat = [
-            [x for e in row for x in e.entries[r]]
-            for row in self.entries
-            for r in range(self.inner)
-        ]
-        return Matrix(dim, dim, flat, self.field)
+        every = range(self.m)
+        return rows_matrix(self.flat_rows(every, every), self.m * self.inner, self.field)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -132,57 +162,64 @@ def all_sigmas(m: int):
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
+def _rows_of(e):
+    """An entry's rows {column: value}; a scalar x is the one row {0: x}."""
+    return matrix_rows(e) if isinstance(e, Matrix) else [{0: e} if e else {}]
+
+
+def _quasidet(x: NCSquare, rows, cols):
+    """The quasideterminant of the square of x's block rows rows and block
+    columns cols (0-based), punctured at the last of each.
+
+    A quasideterminant is a Schur complement, so it is one solve.  The
+    flattening reads [[A, c], [r, x_ij]], A = X^ij of size n = (m-1)d.  The
+    reduced echelon form of its first n rows, fed block by block and
+    pivoting in A's columns only, carries Y = A^{-1} c, and the result is
+    x_ij - r Y.
+    """
+    n = (len(rows) - 1) * x.inner
+    flat = x.flat_rows(rows, cols)
+    reduced = rref_rows(flat[:n], range(n), x.field.one)
+    if len(reduced) < n:
+        raise SubmatrixSingularError(rows[-1] + 1, cols[-1] + 1)
+    y = [{c - n: v for c, v in reduced[p].items() if c >= n} for p in range(n)]
+    lead = [{c: v for c, v in row.items() if c < n} for row in flat[n:]]
+    corner = [{c - n: v for c, v in row.items() if c >= n} for row in flat[n:]]
+    # summing the correction first keeps x_ij's denominator out of every
+    # partial sum, which keeps the gcds of generic scalar entries small
+    corr = rows_scale(rows_times(lead, y), -x.field.one)
+    return x.entry_from_rows(rows_add(corner, corr))
+
+
 def quasideterminant(x: NCSquare, i: int, j: int):
     """|X|_ij; raises SubmatrixSingularError when X^ij is not invertible.
 
-    A quasideterminant is a Schur complement, so it is one solve.  With the
-    puncture moved to the last block row and column the flattening reads
-    [[A, c], [r, x_ij]], A = X^ij of size n = (m-1)d.  The reduced echelon
-    form of its first n rows, pivoting in A's columns only, carries
-    Y = A^{-1} c, and |X|_ij = x_ij - r Y.
+    The puncture moves to the last block row and column (see _quasidet).
     """
     if not (1 <= i <= x.m and 1 <= j <= x.m):
         raise ValueError(f"puncture ({i},{j}) outside 1..{x.m}")
-    if x.m == 1:
-        return x[(1, 1)]
     rows = [r for r in range(x.m) if r != i - 1] + [i - 1]
     cols = [c for c in range(x.m) if c != j - 1] + [j - 1]
-    flat = NCSquare([[x.entries[r][c] for c in cols] for r in rows], x.field).flatten()
-    n, zero = (x.m - 1) * x.inner, x.field.zero
-    reduced = rref_rows(
-        [{k: v for k, v in enumerate(row) if v} for row in flat.entries[:n]],
-        range(n),
-        x.field.one,
-    )
-    if len(reduced) < n:
-        raise SubmatrixSingularError(i, j)
-    y = [[reduced[p].get(k, zero) for k in range(n, flat.cols)] for p in range(n)]
-    r = [row[:n] for row in flat.entries[n:]]
-    # summing the correction first keeps x_ij's denominator out of every
-    # partial sum, which keeps the gcds of generic scalar entries small
-    corr = Matrix(x.inner, n, r, x.field) * Matrix(n, x.inner, y, x.field)
-    if isinstance(x.one, Matrix):
-        return x[(i, j)] - corr
-    return x[(i, j)] - corr.entries[0][0]
+    return _quasidet(x, rows, cols)
 
 
 def corner_factors(x: NCSquare):
-    """Nested corner quasiminors (|X|_mm, ..., x_11); order matches det_sigma."""
-    factors = []
-    for l in range(x.m, 0, -1):
-        factors.append(quasideterminant(x.corner(l), l, l))
-    return factors
+    """Nested corner quasiminors (|X|_mm, ..., x_11); order matches det_sigma.
+
+    The first singular corner raises, as quasideterminant would on it."""
+    return [_quasidet(x, range(l), range(l)) for l in range(x.m, 0, -1)]
 
 
 def det_sigma(x: NCSquare, sigma, factors=None):
-    """Ordered quasiminor product a_{sigma(1)} ... a_{sigma(m)}."""
+    """Ordered quasiminor product a_{sigma(1)} ... a_{sigma(m)}, multiplied
+    in rows."""
     sigma = check_sigma(sigma, x.m)
     if factors is None:
         factors = corner_factors(x)
-    out = factors[sigma[0] - 1]
+    out = _rows_of(factors[sigma[0] - 1])
     for t in sigma[1:]:
-        out = out * factors[t - 1]
-    return out
+        out = rows_times(out, _rows_of(factors[t - 1]))
+    return x.entry_from_rows(out)
 
 
 def inverse_via_quasiminors(x: NCSquare) -> NCSquare:

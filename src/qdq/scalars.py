@@ -411,20 +411,32 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        elif other.field is not self.field:
+            self._check(other)
+        n1, n2 = self.num, other.num
+        if not n2:
             return self
-        if not self:
+        if not n1:
             return other
-        if self.den == other.den:
-            num = _padd(self.num, other.num)
-            if self.den == _ONE_DEN:
-                return RatFunc._raw(num, _ONE_DEN, self.field) if num else self.field.zero
-            return _make(num, self.den, self.field)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return _make(num, _pmul(self.den, other.den), self.field)
+        d1, d2 = self.den, other.den
+        e1, e2 = len(d1) - 1, len(d2) - 1
+        if d1.count(0) == e1 and d2.count(0) == e2:
+            # n1/s^e1 + n2/s^e2 over s^e, e the larger power, cancels only
+            # by the power of s that divides its numerator
+            e = max(e1, e2)
+            num = _padd((_Q0,) * (e - e1) + n1, (_Q0,) * (e - e2) + n2)
+            if not num:
+                return self.field.zero
+            c = min(_valuation(num), e)
+            return RatFunc._raw(num[c:], (_Q0,) * (e - c) + _ONE_DEN, self.field)
+        if d1 == d2:
+            return _make(_padd(n1, n2), d1, self.field)
+        num = _padd(_pmul(n1, d2), _pmul(n2, d1))
+        return _make(num, _pmul(d1, d2), self.field)
 
     __radd__ = __add__
 

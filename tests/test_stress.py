@@ -34,6 +34,23 @@ def test_gl5_two_root_battery_k21():
     assert all(sub.passed for sub in subs), [sub.check for sub in subs if not sub.passed]
 
 
+# sha256 of the gl5 two-root k = (2,2) report, its ms stripped; recorded
+# while the stages after T still multiplied dense grids
+GL5_K22_DIGEST = "39dc1686d5a6c768043fe4d0b77f309727e5c80a045a0353898c6d18b9b4eef5"
+
+
+@pytest.mark.slow
+def test_gl5_two_root_battery_k22():
+    # T acts on 5^4 dimensions and each corner factor is 625 x 625
+    tw = build_twist(BDTriple.make(5, [1, 2], [3, 4], {1: 3, 2: 4}))
+    rep = verify_factorization(tw, k1=2, k2=2, sigmas=all_sigmas(5))
+    subs = rep.details["checks"]
+    assert rep.passed and rep.params["sigmas"] == 120
+    assert all(sub.passed for sub in subs), [sub.check for sub in subs if not sub.passed]
+    blob = json.dumps(_without_ms(report_to_json(rep)), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GL5_K22_DIGEST
+
+
 @pytest.mark.slow
 def test_gl6_two_root_battery():
     # the largest case settled: its wedge is one kernel over 6^6 coordinates,
